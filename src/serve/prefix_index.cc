@@ -1,6 +1,6 @@
 #include "serve/prefix_index.hh"
 
-#include <algorithm>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -67,6 +67,40 @@ PrefixIndex::extendChain(ChainState chain, const TokenFn &tok,
     return chain;
 }
 
+PrefixIndex::OrderKey
+PrefixIndex::orderKey(std::uint64_t key, const Entry &e) const
+{
+    // Cheapest loss first: chain depth x hit count approximates the
+    // recompute bill of evicting (CostAware); Lru orders on recency.
+    std::uint64_t cost = eviction == EvictionPolicy::CostAware
+                             ? std::uint64_t(e.depth) * e.uses
+                             : 0;
+    return {cost, e.lastUse, e.block, key};
+}
+
+void
+PrefixIndex::touchEntry(std::uint64_t key, Entry &e,
+                        aqua::sim::Tick now, bool hit)
+{
+    auto node = order.extract(orderKey(key, e));
+    if (node.empty())
+        aqua::sim::panic("PrefixIndex: entry missing from eviction order");
+    e.lastUse = now;
+    if (hit)
+        ++e.uses;
+    node.value() = orderKey(key, e);
+    order.insert(std::move(node));
+}
+
+void
+PrefixIndex::setEvictionPolicy(EvictionPolicy policy)
+{
+    eviction = policy;
+    order.clear();
+    for (const auto &[key, e] : map)
+        order.insert(orderKey(key, e));
+}
+
 std::uint64_t
 PrefixIndex::partialKey(const ChainState &chain,
                         std::uint64_t /*partialVerify*/,
@@ -101,8 +135,7 @@ PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
         m.blocks.push_back(e.block);
         m.tokens += blockTokens;
         if (touch) {
-            e.lastUse = now;
-            ++e.uses;
+            touchEntry(it->first, e, now, true);
             ++counters.hits;
         }
     }
@@ -124,8 +157,7 @@ PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
                 m.tokens += rem;
                 m.partialTokens = rem;
                 if (touch) {
-                    e.lastUse = now;
-                    ++e.uses;
+                    touchEntry(it->first, e, now, true);
                     ++counters.partialHits;
                 }
             } else if (touch) {
@@ -154,7 +186,10 @@ PrefixIndex::insert(const TokenFn &tok, std::uint64_t tokens,
         ++depth;
         auto it = map.find(key);
         if (it == map.end()) {
-            map.emplace(key, Entry{block, verify, count, now, depth, 0});
+            const Entry &e = map.emplace(key, Entry{block, verify, count,
+                                                    now, depth, 0})
+                                 .first->second;
+            order.insert(orderKey(key, e));
             ++held[block];
             ++counters.insertions;
             newly.push_back(block);
@@ -163,7 +198,7 @@ PrefixIndex::insert(const TokenFn &tok, std::uint64_t tokens,
         // Same content already cached (or a primary collision): keep
         // the existing entry; refresh its LRU stamp on a content match.
         if (it->second.verify == verify && it->second.tokens == count)
-            it->second.lastUse = now;
+            touchEntry(key, it->second, now, false);
         else
             ++counters.collisions;
     };
@@ -190,43 +225,22 @@ PrefixIndex::evictLru(
     const std::function<bool(aqua::mem::BlockId)> &evictable)
 {
     std::vector<aqua::mem::BlockId> out;
-    if (maxEntries == 0 || map.empty())
-        return out;
-    // Candidates oldest first; re-check evictability as refs change
-    // while earlier evictions release sibling entries' blocks.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(map.size());
-    for (const auto &[key, e] : map)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end(),
-              [this](std::uint64_t a, std::uint64_t b) {
-                  const Entry &ea = map.find(a)->second;
-                  const Entry &eb = map.find(b)->second;
-                  if (eviction == EvictionPolicy::CostAware) {
-                      // Cheapest loss first: chain depth x hit count
-                      // approximates the recompute bill of evicting.
-                      std::uint64_t ca = ea.depth * ea.uses;
-                      std::uint64_t cb = eb.depth * eb.uses;
-                      if (ca != cb)
-                          return ca < cb;
-                  }
-                  if (ea.lastUse != eb.lastUse)
-                      return ea.lastUse < eb.lastUse;
-                  return ea.block < eb.block;
-              });
-    for (std::uint64_t key : keys) {
-        if (out.size() >= maxEntries)
-            break;
-        auto it = map.find(key);
-        aqua::mem::BlockId block = it->second.block;
-        if (!evictable(block))
+    // Cheapest first; evictability is re-checked per candidate because
+    // each eviction releases a reference a sibling entry's check reads.
+    for (auto it = order.begin();
+         it != order.end() && out.size() < maxEntries;) {
+        const auto &[cost, lastUse, block, key] = *it;
+        if (!evictable(block)) {
+            ++it;
             continue;
-        map.erase(it);
+        }
+        out.push_back(block);
+        map.erase(key);
         auto h = held.find(block);
         if (h != held.end() && --h->second == 0)
             held.erase(h);
         ++counters.evictions;
-        out.push_back(block);
+        it = order.erase(it);
     }
     return out;
 }
@@ -240,8 +254,47 @@ PrefixIndex::clear()
         out.push_back(e.block);
     counters.evictions += map.size();
     map.clear();
+    order.clear();
     held.clear();
     return out;
+}
+
+std::vector<std::string>
+PrefixIndex::auditInvariants() const
+{
+    std::vector<std::string> violations;
+    if (order.size() != map.size())
+        violations.push_back("eviction order holds " +
+                             std::to_string(order.size()) + " keys for " +
+                             std::to_string(map.size()) + " entries");
+    std::unordered_map<aqua::mem::BlockId, std::uint32_t> backing;
+    for (const auto &[key, e] : map) {
+        if (!order.contains(orderKey(key, e)))
+            violations.push_back("entry " + std::to_string(key) +
+                                 " (block " + std::to_string(e.block) +
+                                 ") is not in the eviction order under "
+                                 "its current key");
+        ++backing[e.block];
+    }
+    for (const auto &[block, refs] : held) {
+        auto b = backing.find(block);
+        std::uint32_t want = b == backing.end() ? 0 : b->second;
+        if (refs == 0)
+            violations.push_back("block " + std::to_string(block) +
+                                 " keeps a zero index ref count");
+        else if (refs != want)
+            violations.push_back("block " + std::to_string(block) +
+                                 " holds " + std::to_string(refs) +
+                                 " index refs for " +
+                                 std::to_string(want) + " entries");
+    }
+    for (const auto &[block, entries] : backing) {
+        if (!held.contains(block))
+            violations.push_back("block " + std::to_string(block) +
+                                 " backs " + std::to_string(entries) +
+                                 " entries but holds no index ref");
+    }
+    return violations;
 }
 
 std::uint32_t
@@ -270,6 +323,21 @@ PrefixIndex::chainKeysAt(const TokenFn &tok,
                         static_cast<std::uint32_t>(fullBlocks) *
                             blockTokens);
     return {chain.key, chain.verify};
+}
+
+PrefixIndex::ChainKeys
+PrefixIndex::entryKeysAt(const TokenFn &tok, std::uint64_t tokens) const
+{
+    std::uint64_t full = tokens / blockTokens;
+    std::uint32_t rem = static_cast<std::uint32_t>(
+        tokens - full * blockTokens);
+    ChainState chain = extendChain(
+        {kSeedKey, kSeedVerify}, tok, 0,
+        static_cast<std::uint32_t>(full * blockTokens));
+    if (rem == 0)
+        return {chain.key & primaryMask, chain.verify};
+    ChainState pc = extendChain(chain, tok, full * blockTokens, rem);
+    return {partialKey(chain, pc.verify, rem) & primaryMask, pc.verify};
 }
 
 std::vector<PrefixIndex::ChainKeys>

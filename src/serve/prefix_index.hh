@@ -21,6 +21,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -119,11 +122,20 @@ class PrefixIndex
            aqua::sim::Tick now);
 
     /**
-     * Evict up to @p maxEntries least-recently-used entries whose block
-     * satisfies @p evictable (typically: no borrower besides the index).
+     * Evict up to @p maxEntries entries whose block satisfies
+     * @p evictable (typically: no borrower besides the index), cheapest
+     * first. Victims come from an ordered index kept current on every
+     * touch, insert and erase (O(log n) each), sorted by (cost,
+     * lastUse, block, key): cost is depth x uses under CostAware and 0
+     * under Lru; the chain key only makes the order total (a block's
+     * full entry vs its stale partial entry stamped on the same tick).
+     * The walk starts at the cheapest entry and skips entries whose
+     * block fails @p evictable (borrowed or pinned), re-checking it per
+     * candidate, since evicting one entry can change another's answer.
+     * Victims and their order match sorting every entry by that key.
      *
-     * @return The evicted entries' blocks (the caller drops one
-     *         reference per returned element).
+     * @return The evicted entries' blocks in eviction order (the
+     *         caller drops one reference per returned element).
      */
     std::vector<aqua::mem::BlockId>
     evictLru(std::size_t maxEntries,
@@ -161,9 +173,27 @@ class PrefixIndex
     std::vector<ChainKeys> chainKeysUpTo(const TokenFn &tok,
                                          std::size_t fullBlocks) const;
 
-    /** Select the eviction victim ordering (default Lru). */
-    void setEvictionPolicy(EvictionPolicy policy) { eviction = policy; }
+    /**
+     * Keys of the entry that covers tokens [0, @p tokens) of @p tok's
+     * stream, as the index stores them (primary mask applied): a full
+     * block's entry when @p tokens is a multiple of the block size,
+     * else the partial tail's. Lets an external model of the index
+     * address the same entries.
+     */
+    ChainKeys entryKeysAt(const TokenFn &tok, std::uint64_t tokens) const;
+
+    /** Select the eviction victim ordering (default Lru). Re-keys
+     *  the eviction index, whose cost term depends on the policy. */
+    void setEvictionPolicy(EvictionPolicy policy);
     EvictionPolicy evictionPolicy() const { return eviction; }
+
+    /**
+     * Consistency audit (tests and harnesses, not the hot path): the
+     * eviction index holds exactly one current key per entry, and
+     * every block's reference count matches the entries pointing at
+     * it. Returns human-readable violations; empty = consistent.
+     */
+    std::vector<std::string> auditInvariants() const;
 
     std::size_t entries() const { return map.size(); }
     const PrefixIndexStats &stats() const { return counters; }
@@ -199,6 +229,16 @@ class PrefixIndex
         std::uint64_t verify;
     };
 
+    /** Eviction order: (cost, lastUse, block, primary key). */
+    using OrderKey = std::tuple<std::uint64_t, aqua::sim::Tick,
+                                aqua::mem::BlockId, std::uint64_t>;
+
+    OrderKey orderKey(std::uint64_t key, const Entry &e) const;
+    /** Stamp @p e (stored under @p key) as used at @p now, counting a
+     *  lookup hit if @p hit, and move it to its new eviction slot. */
+    void touchEntry(std::uint64_t key, Entry &e, aqua::sim::Tick now,
+                    bool hit);
+
     ChainState extendChain(ChainState chain, const TokenFn &tok,
                            std::uint64_t firstToken,
                            std::uint32_t count) const;
@@ -210,6 +250,8 @@ class PrefixIndex
     EvictionPolicy eviction = EvictionPolicy::Lru;
     std::uint64_t primaryMask = ~std::uint64_t(0);
     std::unordered_map<std::uint64_t, Entry> map;
+    /** One orderKey per map entry, cheapest victim first. */
+    std::set<OrderKey> order;
     /** Entries per block (a block can back a full and a stale partial
      *  entry at once); one index reference is held per entry. */
     std::unordered_map<aqua::mem::BlockId, std::uint32_t> held;

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "exp/testbed.hh"
 #include "hw/gpu.hh"
@@ -143,12 +149,16 @@ TEST(PrefixCache, NoRefcountLeakAfterChurn)
         }
         kv.freeBlocks(acq.blocks);
         kv.freeBlocks(*owner);
+        ASSERT_EQ(kv.prefixIndex().auditInvariants(),
+                  std::vector<std::string>{});
     }
 
     // Everything still allocated is index-held cache, nothing else.
     EXPECT_EQ(kv.freeBlocks() + kv.evictableBlocks(), total);
     EXPECT_EQ(kv.liveKvBytes(), 0u);
     kv.dropCache();
+    EXPECT_EQ(kv.prefixIndex().auditInvariants(),
+              std::vector<std::string>{});
     EXPECT_EQ(kv.freeBlocks(), total);
     EXPECT_EQ(kv.evictableBlocks(), 0u);
     EXPECT_EQ(kv.usedBytes(), 0u);
@@ -445,6 +455,8 @@ TEST(PrefixCache, CostAwareEvictionKeepsDeepHotChains)
     KvCache lru(lruF.gpu, model::codellama34b(), 1 * gib, 16);
     build(lru, a, b);
     EXPECT_EQ(lru.evictCached(1), 1u);
+    EXPECT_EQ(lru.prefixIndex().auditInvariants(),
+              std::vector<std::string>{});
     // Recency alone rotates out part of the expensive chain.
     EXPECT_LT(lru.probePrefixBlocks(a, 48), 3u);
     EXPECT_EQ(lru.probePrefixBlocks(b, 16), 1u);
@@ -454,6 +466,331 @@ TEST(PrefixCache, CostAwareEvictionKeepsDeepHotChains)
     cost.setEvictionPolicy(EvictionPolicy::CostAware);
     build(cost, a, b);
     EXPECT_EQ(cost.evictCached(1), 1u);
+    EXPECT_EQ(cost.prefixIndex().auditInvariants(),
+              std::vector<std::string>{});
     EXPECT_EQ(cost.probePrefixBlocks(a, 48), 3u);
     EXPECT_EQ(cost.probePrefixBlocks(b, 16), 0u);
+}
+
+namespace {
+
+/**
+ * Reference model of PrefixIndex that picks eviction victims the
+ * straightforward way: on every call, collect all entries, sort them by
+ * (cost, lastUse, block, key) and walk the result, re-checking
+ * evictability per candidate. Entries are addressed through the real
+ * index's entryKeysAt, so both models key the same content the same
+ * way; lookups, inserts and counters follow the documented semantics.
+ */
+class SortingOracle
+{
+  public:
+    SortingOracle(const PrefixIndex &keys, std::uint32_t blockTokens)
+        : keys(keys), blockTokens(blockTokens)
+    {}
+
+    void setEvictionPolicy(EvictionPolicy p) { policy = p; }
+
+    PrefixIndex::Match
+    lookup(const TokenFn &tok, std::uint64_t maxTokens, Tick now,
+           bool touch)
+    {
+        PrefixIndex::Match m;
+        std::uint64_t fullWanted = maxTokens / blockTokens;
+        std::uint64_t i = 0;
+        for (; i < fullWanted; ++i) {
+            PrefixIndex::ChainKeys k =
+                keys.entryKeysAt(tok, (i + 1) * blockTokens);
+            auto it = map.find(k.key);
+            if (it == map.end())
+                break;
+            Entry &e = it->second;
+            if (e.tokens != blockTokens || e.verify != k.verify) {
+                if (touch)
+                    ++counters.collisions;
+                break;
+            }
+            m.blocks.push_back(e.block);
+            m.tokens += blockTokens;
+            if (touch) {
+                e.lastUse = now;
+                ++e.uses;
+                ++counters.hits;
+            }
+        }
+        if (touch)
+            counters.misses += fullWanted - i;
+        std::uint32_t rem =
+            static_cast<std::uint32_t>(maxTokens - i * blockTokens);
+        if (i == fullWanted && rem > 0 && rem < blockTokens) {
+            PrefixIndex::ChainKeys k = keys.entryKeysAt(tok, maxTokens);
+            auto it = map.find(k.key);
+            if (it != map.end()) {
+                Entry &e = it->second;
+                if (e.tokens == rem && e.verify == k.verify) {
+                    m.blocks.push_back(e.block);
+                    m.tokens += rem;
+                    m.partialTokens = rem;
+                    if (touch) {
+                        e.lastUse = now;
+                        ++e.uses;
+                        ++counters.partialHits;
+                    }
+                } else if (touch) {
+                    ++counters.collisions;
+                }
+            }
+        }
+        return m;
+    }
+
+    std::vector<mem::BlockId>
+    insert(const TokenFn &tok, std::uint64_t tokens,
+           const std::vector<mem::BlockId> &blocks, Tick now)
+    {
+        std::vector<mem::BlockId> newly;
+        std::uint32_t depth = 0;
+        for (std::uint64_t end = 0; end < tokens;) {
+            std::uint64_t blockIdx = end / blockTokens;
+            end = std::min(end + blockTokens, tokens);
+            auto count = static_cast<std::uint32_t>(
+                end - blockIdx * blockTokens);
+            PrefixIndex::ChainKeys k = keys.entryKeysAt(tok, end);
+            mem::BlockId block = blocks[blockIdx];
+            ++depth;
+            auto it = map.find(k.key);
+            if (it == map.end()) {
+                map.emplace(k.key,
+                            Entry{block, k.verify, count, now, depth, 0});
+                ++held[block];
+                ++counters.insertions;
+                newly.push_back(block);
+            } else if (it->second.verify == k.verify &&
+                       it->second.tokens == count) {
+                it->second.lastUse = now;
+            } else {
+                ++counters.collisions;
+            }
+        }
+        return newly;
+    }
+
+    std::vector<mem::BlockId>
+    evictLru(std::size_t maxEntries,
+             const std::function<bool(mem::BlockId)> &evictable)
+    {
+        using SortKey =
+            std::tuple<std::uint64_t, Tick, mem::BlockId, std::uint64_t>;
+        std::vector<SortKey> all;
+        for (const auto &[key, e] : map) {
+            std::uint64_t cost = policy == EvictionPolicy::CostAware
+                                     ? std::uint64_t(e.depth) * e.uses
+                                     : 0;
+            all.emplace_back(cost, e.lastUse, e.block, key);
+        }
+        std::sort(all.begin(), all.end());
+        std::vector<mem::BlockId> out;
+        for (const auto &[cost, lastUse, block, key] : all) {
+            if (out.size() >= maxEntries)
+                break;
+            if (!evictable(block))
+                continue;
+            map.erase(key);
+            if (--held[block] == 0)
+                held.erase(block);
+            ++counters.evictions;
+            out.push_back(block);
+        }
+        return out;
+    }
+
+    std::uint32_t
+    refsHeld(mem::BlockId b) const
+    {
+        auto it = held.find(b);
+        return it == held.end() ? 0 : it->second;
+    }
+
+    std::size_t entries() const { return map.size(); }
+    const PrefixIndexStats &stats() const { return counters; }
+
+  private:
+    struct Entry
+    {
+        mem::BlockId block;
+        std::uint64_t verify;
+        std::uint32_t tokens;
+        Tick lastUse;
+        std::uint32_t depth;
+        std::uint64_t uses;
+    };
+
+    const PrefixIndex &keys;
+    std::uint32_t blockTokens;
+    EvictionPolicy policy = EvictionPolicy::Lru;
+    std::map<std::uint64_t, Entry> map;
+    std::map<mem::BlockId, std::uint32_t> held;
+    PrefixIndexStats counters;
+};
+
+void
+expectSameStats(const PrefixIndexStats &got, const PrefixIndexStats &want)
+{
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.partialHits, want.partialHits);
+    EXPECT_EQ(got.collisions, want.collisions);
+    EXPECT_EQ(got.insertions, want.insertions);
+    EXPECT_EQ(got.evictions, want.evictions);
+}
+
+/**
+ * KvCache-style evictability: a block qualifies while it is not pinned
+ * and the index holds every reference it had when the call started
+ * (@p borrowed adds references from live sequences). Evicting one of a
+ * block's entries therefore disqualifies its siblings for the rest of
+ * the call, which is why the walk must re-check each candidate.
+ */
+std::function<bool(mem::BlockId)>
+cacheOnly(std::function<std::uint32_t(mem::BlockId)> refsHeld,
+          const std::set<mem::BlockId> &pinned,
+          const std::set<mem::BlockId> &borrowed)
+{
+    return [=, start = std::map<mem::BlockId, std::uint32_t>{}](
+               mem::BlockId b) mutable {
+        if (pinned.count(b))
+            return false;
+        std::uint32_t now = refsHeld(b);
+        auto it =
+            start.try_emplace(b, now + (borrowed.count(b) ? 1 : 0)).first;
+        return now > 0 && now == it->second;
+    };
+}
+
+/**
+ * Drive a PrefixIndex and the sorting oracle with one seeded random
+ * sequence of inserts (growing tails over the same blocks, so a block
+ * backs a full entry and stale partial entries), touching and read-only
+ * lookups, evictions under random pins and borrowers, and one
+ * mid-sequence eviction-policy switch. Ticks often repeat, so entries
+ * tie on lastUse and the block and key tie-breaks decide.
+ */
+void
+runDifferential(std::uint64_t seed, EvictionPolicy first,
+                std::uint64_t primaryMask)
+{
+    constexpr std::uint32_t kBlockTokens = 4;
+    constexpr int kStreams = 6;
+    constexpr int kOps = 1500;
+    std::mt19937_64 rng(seed);
+    auto pick = [&](std::uint64_t n) { return rng() % n; };
+
+    // Streams share a common prefix of varying length, then diverge.
+    std::vector<TokenFn> streams;
+    for (int s = 0; s < kStreams; ++s) {
+        std::uint64_t shared = pick(24);
+        std::uint64_t salt = 0x5eed0000 + static_cast<std::uint64_t>(s);
+        streams.push_back([shared, salt](std::uint64_t pos) {
+            return pos < shared ? 0xc0ffee ^ pos : salt ^ (pos << 8);
+        });
+    }
+
+    PrefixIndex real(kBlockTokens);
+    real.setPrimaryMask(primaryMask);
+    SortingOracle oracle(real, kBlockTokens);
+    real.setEvictionPolicy(first);
+    oracle.setEvictionPolicy(first);
+
+    mem::BlockId nextBlock = 0;
+    std::vector<std::vector<mem::BlockId>> owned(kStreams);
+    Tick now = 0;
+    std::size_t evicted = 0;
+    for (int op = 0; op < kOps; ++op) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
+                     std::to_string(op));
+        now += pick(3) == 0 ? 1 : 0;
+        if (op == kOps / 2) {
+            EvictionPolicy other = first == EvictionPolicy::Lru
+                                       ? EvictionPolicy::CostAware
+                                       : EvictionPolicy::Lru;
+            real.setEvictionPolicy(other);
+            oracle.setEvictionPolicy(other);
+        }
+        auto s = static_cast<std::size_t>(pick(kStreams));
+        std::uint64_t r = pick(10);
+        if (r < 4) {
+            // Publish a prefix of the stream; fresh blocks now and then
+            // (a new request), else grow over the stream's own blocks.
+            if (owned[s].empty() || pick(4) == 0)
+                owned[s].clear();
+            std::uint64_t tokens = 1 + pick(10 * kBlockTokens);
+            while (owned[s].size() * kBlockTokens < tokens)
+                owned[s].push_back(nextBlock++);
+            ASSERT_EQ(real.insert(streams[s], tokens, owned[s], now),
+                      oracle.insert(streams[s], tokens, owned[s], now));
+        } else if (r < 7) {
+            std::uint64_t maxTokens = pick(10 * kBlockTokens + 1);
+            bool touch = pick(4) != 0;
+            PrefixIndex::Match got =
+                real.lookup(streams[s], maxTokens, now, touch);
+            PrefixIndex::Match want =
+                oracle.lookup(streams[s], maxTokens, now, touch);
+            ASSERT_EQ(got.blocks, want.blocks);
+            ASSERT_EQ(got.tokens, want.tokens);
+            ASSERT_EQ(got.partialTokens, want.partialTokens);
+        } else {
+            std::set<mem::BlockId> pinned, borrowed;
+            for (mem::BlockId b = 0; b < nextBlock; ++b) {
+                if (pick(5) == 0)
+                    pinned.insert(b);
+                else if (pick(5) == 0)
+                    borrowed.insert(b);
+            }
+            std::size_t max = pick(6);
+            std::vector<mem::BlockId> got = real.evictLru(
+                max, cacheOnly([&](mem::BlockId b) {
+                    return real.refsHeld(b);
+                }, pinned, borrowed));
+            std::vector<mem::BlockId> want = oracle.evictLru(
+                max, cacheOnly([&](mem::BlockId b) {
+                    return oracle.refsHeld(b);
+                }, pinned, borrowed));
+            ASSERT_EQ(got, want);
+            evicted += got.size();
+        }
+        expectSameStats(real.stats(), oracle.stats());
+        ASSERT_EQ(real.entries(), oracle.entries());
+        for (mem::BlockId b = 0; b < nextBlock; ++b)
+            ASSERT_EQ(real.refsHeld(b), oracle.refsHeld(b)) << "block " << b;
+        ASSERT_EQ(real.auditInvariants(), std::vector<std::string>{});
+    }
+    // The sequence really exercised eviction and reuse.
+    EXPECT_GT(evicted, 0u);
+    EXPECT_GT(real.stats().hits, 0u);
+    EXPECT_GT(real.stats().partialHits, 0u);
+}
+
+} // anonymous namespace
+
+TEST(PrefixIndexDifferential, LruThenCostAwareMatchesSortingOracle)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        runDifferential(seed, EvictionPolicy::Lru, ~std::uint64_t(0));
+}
+
+TEST(PrefixIndexDifferential, CostAwareThenLruMatchesSortingOracle)
+{
+    for (std::uint64_t seed = 101; seed <= 108; ++seed)
+        runDifferential(seed, EvictionPolicy::CostAware,
+                        ~std::uint64_t(0));
+}
+
+TEST(PrefixIndexDifferential, NarrowPrimaryMaskMatchesSortingOracle)
+{
+    // A 6-bit primary key forces collisions, including partial entries
+    // aliasing full ones; both models must fall back identically.
+    for (std::uint64_t seed = 201; seed <= 204; ++seed)
+        runDifferential(seed, seed % 2 ? EvictionPolicy::Lru
+                                       : EvictionPolicy::CostAware,
+                        0x3f);
 }
