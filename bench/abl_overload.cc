@@ -201,7 +201,7 @@ main(int argc, char **argv)
     report.set("smoke", smoke)
         .set("num_requests",
              static_cast<std::int64_t>(base.numRequests))
-        .set("slo_multiple", base.sloMultiple)
+        .set("slo_multiple", exp::overloadSloMultiple)
         .set("best_effort_fraction", base.bestEffortFraction);
     report.set("cells", std::move(cells));
     json::Object accept;

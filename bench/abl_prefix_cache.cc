@@ -176,7 +176,7 @@ main(int argc, char **argv)
     report.set("smoke", smoke)
         .set("num_requests", static_cast<std::int64_t>(cfg.numRequests))
         .set("prefix_tokens", cfg.prefixTokens)
-        .set("num_groups", cfg.numGroups);
+        .set("num_groups", exp::prefixAblationGroups);
     report.set("sharing_off", modeJson(offR));
     report.set("sharing_on", modeJson(onR));
     json::Object cappedJson = modeJson(capR);

@@ -31,7 +31,7 @@ AquaLib::AquaLib(hw::Server &server, hw::GpuId gpu,
                  std::unique_ptr<Informer> informer)
     : server(server), myGpu(gpu), service(service), cfg(config),
       policy(std::move(informer)),
-      engine(server, gpu, config.staging),
+      engine(server, gpu),
       jitterRng(config.jitterSeed ^
                 (0x9e3779b97f4a7c15ull *
                  (static_cast<std::uint64_t>(gpu) + 1)))

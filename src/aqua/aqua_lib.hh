@@ -80,8 +80,6 @@ struct AquaLibConfig
      * naive NVLink offloads beat PCIe only marginally (§2.3).
      */
     bool useStaging = true;
-    /** Coalescer/double-buffering tunables of the staging engine. */
-    StagingEngineConfig staging;
 };
 
 /** Counters exposed for benches and tests. */

@@ -4,6 +4,18 @@ namespace aqua::core {
 
 using namespace aqua::sim;
 
+/** Context bytes the LLM informer retains when donating (paper:
+ *  5 GB). */
+constexpr std::uint64_t keepBytes = std::uint64_t(5) << 30;
+/** Reclaim when the windowed rate exceeds this (req/s). */
+constexpr double reclaimRateThreshold = 3.0;
+/** Reclaim regardless of rate when the queue grows past this. */
+constexpr std::uint64_t reclaimQueueThreshold = 8;
+/** Reclaim when the oldest waiter has been queued this long
+ *  (seconds). Fires earlier than the windowed rate during a
+ *  ramp-up. */
+constexpr double reclaimQueueDelaySec = 2.0;
+
 LlmInformer::LlmInformer(LlmInformerConfig config) : cfg(config) {}
 
 InformerDecision
@@ -33,12 +45,10 @@ LlmInformer::evaluate(const EngineStats &stats, bool donated)
         // already hurting — ask for an urgent (flush) reclaim.
         // A rate crossing alone is anticipatory: a graceful reclaim
         // lets the consumer evacuate in stages.
-        bool hurting =
-            (cfg.reclaimOnShed && stats.shedsSinceLast > 0) ||
-            (cfg.reclaimQueueDelaySec > 0.0 &&
-             stats.queueDelaySec >= cfg.reclaimQueueDelaySec) ||
-            stats.pendingRequests >= cfg.reclaimQueueThreshold;
-        if (hurting || rate > cfg.reclaimRateThreshold) {
+        bool hurting = stats.shedsSinceLast > 0 ||
+                       stats.queueDelaySec >= reclaimQueueDelaySec ||
+                       stats.pendingRequests >= reclaimQueueThreshold;
+        if (hurting || rate > reclaimRateThreshold) {
             decision.action = InformerDecision::Action::Reclaim;
             decision.urgency = hurting ? ReclaimUrgency::Urgent
                                        : ReclaimUrgency::Graceful;
@@ -58,7 +68,7 @@ LlmInformer::evaluate(const EngineStats &stats, bool donated)
         // the reserved pool (bounded by what is actually free).
         std::uint64_t used =
             stats.reservedPoolBytes - stats.freePoolBytes;
-        std::uint64_t keep = cfg.keepBytes > used ? cfg.keepBytes : used;
+        std::uint64_t keep = keepBytes > used ? keepBytes : used;
         if (stats.reservedPoolBytes > keep) {
             std::uint64_t spare = stats.reservedPoolBytes - keep;
             if (spare > stats.freePoolBytes)

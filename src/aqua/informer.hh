@@ -98,20 +98,8 @@ class Informer
 /** Tunables of the LLM informer. */
 struct LlmInformerConfig
 {
-    /** Context bytes retained when donating (paper: 5 GB). */
-    std::uint64_t keepBytes = std::uint64_t(5) << 30;
     /** Donate when the windowed rate stays below this (req/s). */
     double donateRateThreshold = 2.0;
-    /** Reclaim when the windowed rate exceeds this (req/s). */
-    double reclaimRateThreshold = 3.0;
-    /** Reclaim regardless of rate when the queue grows past this. */
-    std::uint64_t reclaimQueueThreshold = 8;
-    /** Reclaim when the oldest waiter has been queued this long
-     *  (seconds). Fires earlier than the windowed rate during a
-     *  ramp-up; 0 disables. */
-    double reclaimQueueDelaySec = 2.0;
-    /** Reclaim as soon as the engine reports any overload sheds. */
-    bool reclaimOnShed = true;
     /** Width of the rate-estimation window. */
     aqua::sim::Tick window = 10 * aqua::sim::nsPerSec;
     /** Require at least this much donatable memory to bother. */

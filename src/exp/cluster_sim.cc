@@ -30,6 +30,27 @@ enum : std::uint32_t
 
 constexpr std::uint64_t fnvPrime = 1099511628211ULL;
 
+/** KV bytes of one hot prefix chain. */
+constexpr std::uint64_t prefixBytes = 64ull << 20;
+/**
+ * Node budget of the placer's full solves. Cluster-scale instances
+ * rarely prove optimality, so the budget is mostly spent improving
+ * the greedy incumbent; keep it small — a full solve runs inline in a
+ * simulation event, on both executors.
+ */
+constexpr std::uint64_t placerNodeBudget = 500;
+
+/** Inter-server fabric: peak bandwidth (bytes/s) and latency. */
+constexpr double interBandwidth = 50e9;
+constexpr double interLatencyUs = 2.0;
+/** Software floor on any cross-domain message; the executor
+ *  lookahead is interLatencyUs + rpcFloorUs. */
+constexpr double rpcFloorUs = 25.0;
+
+/** Service model: per-token costs (microseconds). */
+constexpr double prefillUsPerToken = 0.4;
+constexpr double decodeUsPerToken = 12.0;
+
 std::uint64_t
 fnvMix(std::uint64_t h, std::uint64_t v)
 {
@@ -50,6 +71,12 @@ prefixVerify(std::size_t id)
 }
 
 } // anonymous namespace
+
+Tick
+ClusterSimConfig::lookahead() const
+{
+    return usToTicks(interLatencyUs + rpcFloorUs);
+}
 
 /** Versioned model -> domain assignment, broadcast by domain 0. */
 struct ClusterSim::View
@@ -105,8 +132,8 @@ struct ClusterSim::Domain
 ClusterSim::ClusterSim(const ClusterSimConfig &config,
                        sim::DomainNet &net)
     : cfg(config), net(net),
-      interLink("inter-server", config.interBandwidth, 3ull << 20,
-                usToTicks(config.interLatencyUs))
+      interLink("inter-server", interBandwidth, 3ull << 20,
+                usToTicks(interLatencyUs))
 {
     if (cfg.numDomains == 0 || cfg.numDomains != net.numDomains())
         sim::panic("ClusterSim: config/net domain mismatch (%zu vs "
@@ -151,12 +178,13 @@ ClusterSim::digestEvent(std::size_t d, Tick t, std::uint32_t code,
     h = fnvMix(h, b);
 }
 
+template <typename MakeFields>
 void
 ClusterSim::trace(std::size_t d, Tick t, const char *category,
-                  json::Object fields)
+                  MakeFields &&makeFields)
 {
     if (cfg.captureTrace)
-        domains[d]->traceLog.emit(t, category, std::move(fields));
+        domains[d]->traceLog.emit(t, category, makeFields());
 }
 
 void
@@ -170,7 +198,7 @@ ClusterSim::setup()
         cfg.numDomains, cfg.modelsPerDomain, "balanced", cfg.seed);
     in.gpusPerServer = cfg.gpusPerDomain;
     placer::RepairConfig rc;
-    rc.solveMaxNodes = cfg.placerNodeBudget;
+    rc.solveMaxNodes = placerNodeBudget;
     placerState = std::make_unique<placer::IncrementalPlacer>(
         std::move(in), rc);
 
@@ -250,7 +278,7 @@ ClusterSim::onArrival(std::size_t d, ClusterRequest req)
         o["decode"] = req.decodeTokens;
         o["prefix"] = req.prefix;
         return o;
-    }());
+    });
 
     scheduleNextArrival(d);
     routeOrServe(d, req);
@@ -312,7 +340,7 @@ ClusterSim::routeOrServe(std::size_t d, ClusterRequest req)
         o["req"] = req.id;
         o["to"] = host;
         return o;
-    }());
+    });
     auto dst = static_cast<std::size_t>(host);
     net.send(d, dst, now + net.lookahead(),
              [this, dst, req] { routeOrServe(dst, req); });
@@ -330,7 +358,7 @@ ClusterSim::handleLocalPrefix(std::size_t d, const ClusterRequest &req)
     hw::GpuId gpu =
         static_cast<hw::GpuId>(d * cfg.gpusPerDomain);
     std::uint32_t blocks = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, cfg.prefixBytes >> 20));
+        std::max<std::uint64_t>(1, prefixBytes >> 20));
 
     cluster::CandidateKey cand{key, verify, blocks};
     cluster::LookupResult r = dom.registry.lookup(gpu, {cand}, now);
@@ -341,7 +369,7 @@ ClusterSim::handleLocalPrefix(std::size_t d, const ClusterRequest &req)
         return true;
     }
     dom.registry.publish(gpu, key, verify, blocks, cfg.prefixTokens,
-                         cfg.prefixBytes, key ^ verify, now);
+                         prefixBytes, key ^ verify, now);
     ++dom.stats.prefixMisses;
     digestEvent(d, now, evPrefixMiss, req.id,
                 static_cast<std::uint64_t>(req.prefix));
@@ -361,7 +389,7 @@ ClusterSim::handleRemoteLookup(std::size_t home, std::size_t asker,
     hw::GpuId consumerGpu =
         static_cast<hw::GpuId>(asker * cfg.gpusPerDomain);
     std::uint32_t blocks = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, cfg.prefixBytes >> 20));
+        std::max<std::uint64_t>(1, prefixBytes >> 20));
 
     cluster::CandidateKey cand{key, verify, blocks};
     cluster::LookupResult r =
@@ -372,7 +400,7 @@ ClusterSim::handleRemoteLookup(std::size_t home, std::size_t asker,
         // Lease the chain for the duration of the NVLink-fabric read.
         cluster::PinResult pin =
             dom.registry.pin(consumerGpu, key, verify, now);
-        streamTicks = interLink.transferTime(cfg.prefixBytes);
+        streamTicks = interLink.transferTime(prefixBytes);
         if (pin.ok) {
             std::uint64_t pinId = pin.pin;
             q.schedule(now + streamTicks, [this, home, pinId] {
@@ -384,7 +412,7 @@ ClusterSim::handleRemoteLookup(std::size_t home, std::size_t asker,
         hw::GpuId homeGpu =
             static_cast<hw::GpuId>(home * cfg.gpusPerDomain);
         dom.registry.publish(homeGpu, key, verify, blocks,
-                             cfg.prefixTokens, cfg.prefixBytes,
+                             cfg.prefixTokens, prefixBytes,
                              key ^ verify, now);
     }
     digestEvent(home, now, hit ? evPrefixHit : evPrefixMiss, req.id,
@@ -395,7 +423,7 @@ ClusterSim::handleRemoteLookup(std::size_t home, std::size_t asker,
                  Domain &a = *domains[asker];
                  if (hit) {
                      ++a.stats.prefixHitsRemote;
-                     a.stats.prefixBytesStreamed += cfg.prefixBytes;
+                     a.stats.prefixBytesStreamed += prefixBytes;
                  } else {
                      ++a.stats.prefixMisses;
                  }
@@ -424,8 +452,8 @@ ClusterSim::beginService(std::size_t d, ClusterRequest req,
     std::uint32_t prompt = req.promptTokens;
     if (prefixHit)
         prompt -= std::min(prompt, cfg.prefixTokens);
-    double us = cfg.prefillUsPerToken * prompt +
-                cfg.decodeUsPerToken * req.decodeTokens;
+    double us = prefillUsPerToken * prompt +
+                decodeUsPerToken * req.decodeTokens;
     us *= dom.serviceRng.uniform(0.9, 1.1);
     Tick service = std::max<Tick>(1, usToTicks(us));
     Tick finish = start + service;
@@ -441,7 +469,7 @@ ClusterSim::beginService(std::size_t d, ClusterRequest req,
         o["finish"] = finish;
         o["prefix_hit"] = prefixHit;
         return o;
-    }());
+    });
 
     if (req.origin == d) {
         q.schedule(finish, [this, d, req, finish] {
@@ -474,7 +502,7 @@ ClusterSim::completeAtOrigin(std::size_t d, const ClusterRequest &req,
         o["req"] = req.id;
         o["rct_ns"] = now - req.arrival;
         return o;
-    }());
+    });
 }
 
 void
@@ -527,7 +555,7 @@ ClusterSim::runChurn(std::size_t index)
         o["kind"] = static_cast<std::int64_t>(out.kind);
         o["objective"] = out.objective;
         return o;
-    }());
+    });
     broadcastView();
 }
 

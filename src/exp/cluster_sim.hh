@@ -61,8 +61,6 @@ struct ClusterSimConfig
     double prefixProb = 0.3;
     /** Distinct hot prefixes cluster-wide. */
     std::size_t prefixPool = 64;
-    /** KV bytes of one hot prefix chain. */
-    std::uint64_t prefixBytes = 64ull << 20;
     /** Prompt tokens a prefix hit skips. */
     std::uint32_t prefixTokens = 512;
 
@@ -70,34 +68,14 @@ struct ClusterSimConfig
     std::size_t placementEvents = 12;
     /** Gap between churn events (simulated seconds). */
     double churnIntervalSec = 2.0;
-    /**
-     * Node budget of the placer's full solves. Cluster-scale
-     * instances rarely prove optimality, so the budget is mostly
-     * spent improving the greedy incumbent; keep it small — a full
-     * solve runs inline in a simulation event, on both executors.
-     */
-    std::uint64_t placerNodeBudget = 500;
-
-    /** Inter-server fabric: peak bandwidth (bytes/s) and latency. */
-    double interBandwidth = 50e9;
-    double interLatencyUs = 2.0;
-    /** Software floor on any cross-domain message; the executor
-     *  lookahead is interLatencyUs + rpcFloorUs. */
-    double rpcFloorUs = 25.0;
-
-    /** Service model: per-token costs (microseconds). */
-    double prefillUsPerToken = 0.4;
-    double decodeUsPerToken = 12.0;
 
     /** Capture full per-domain TraceLogs (small runs only). */
     bool captureTrace = false;
 
-    /** Conservative lookahead implied by the fabric floor. */
-    aqua::sim::Tick
-    lookahead() const
-    {
-        return aqua::sim::usToTicks(interLatencyUs + rpcFloorUs);
-    }
+    /** Conservative lookahead implied by the fabric floor: the
+     *  inter-server latency plus the software floor on any
+     *  cross-domain message. */
+    aqua::sim::Tick lookahead() const;
 };
 
 /** Deterministic end-state counters of one domain. */
@@ -186,8 +164,11 @@ class ClusterSim
     void digestEvent(std::size_t d, aqua::sim::Tick t,
                      std::uint32_t code, std::uint64_t a,
                      std::uint64_t b);
+    /** Emit a trace event whose fields @p makeFields builds; it is
+     *  called only when captureTrace is set. */
+    template <typename MakeFields>
     void trace(std::size_t d, aqua::sim::Tick t, const char *category,
-               json::Object fields);
+               MakeFields &&makeFields);
 
     ClusterSimConfig cfg;
     sim::DomainNet &net;

@@ -269,6 +269,9 @@ runLongPrompt(const LongPromptConfig &cfg)
     return result;
 }
 
+/** Base model serving the LoRA adapters. */
+constexpr const char *loraBaseModel = "Mistral-7B";
+
 LoraExperimentResult
 runLoraExperiment(const LoraExperimentConfig &cfg)
 {
@@ -276,7 +279,7 @@ runLoraExperiment(const LoraExperimentConfig &cfg)
     constexpr hw::GpuId consumerGpu = 0;
     constexpr hw::GpuId producerGpu = 1;
 
-    ModelSpec consumerSpec = presetByName(cfg.baseModel);
+    ModelSpec consumerSpec = presetByName(loraBaseModel);
     ModelSpec producerSpec = presetByName(cfg.producerModel);
 
     core::AquaLib *producerLib = nullptr;
@@ -332,6 +335,13 @@ runLoraExperiment(const LoraExperimentConfig &cfg)
     return result;
 }
 
+/** Consumer long-prompt start (the paper's ~150 s mark); also the
+ *  start of the first producer load phase (100 requests at 1 req/s). */
+constexpr double elasticConsumerStartSec = 150.0;
+/** Second producer phase start (the paper's 400 s mark): 250 requests
+ *  at 5 req/s. */
+constexpr double elasticPhase2StartSec = 400.0;
+
 ElasticExperimentResult
 runElasticExperiment(const ElasticExperimentConfig &cfg)
 {
@@ -363,9 +373,9 @@ runElasticExperiment(const ElasticExperimentConfig &cfg)
     // start; 250 requests at 5 req/s from phase 2.
     workload::TraceBuilder traces(tb.sim().makeRandom());
     std::vector<workload::Request> phase1 = traces.interactive(
-        1.0, 100, secToTicks(cfg.consumerStartSec));
+        1.0, 100, secToTicks(elasticConsumerStartSec));
     std::vector<workload::Request> phase2 = traces.interactive(
-        5.0, 250, secToTicks(cfg.phase2StartSec));
+        5.0, 250, secToTicks(elasticPhase2StartSec));
     driveTrace(tb.sim(), producer, phase1);
     driveTrace(tb.sim(), producer, phase2);
 
@@ -379,7 +389,7 @@ runElasticExperiment(const ElasticExperimentConfig &cfg)
             tb.server(), consumerGpu, consumerSpec, backend);
         for (int n = 0; n < 40; ++n) {
             workload::Request r = traces.longPrompt(
-                8000, 2000, secToTicks(cfg.consumerStartSec));
+                8000, 2000, secToTicks(elasticConsumerStartSec));
             tb.sim().queue().schedule(r.arrival, [&, r] {
                 consumer->submit(r);
             });
@@ -598,7 +608,7 @@ runPrefixAblation(const PrefixAblationConfig &cfg)
     workload::TraceBuilder traces(tb.sim().makeRandom());
     std::vector<workload::Request> trace = traces.sharedPrefix(
         cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens,
-        cfg.numGroups);
+        prefixAblationGroups);
     driveTrace(tb.sim(), consumer, trace);
 
     runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
@@ -621,6 +631,13 @@ runPrefixAblation(const PrefixAblationConfig &cfg)
             : 0.0;
     return result;
 }
+
+/** The cluster-prefix chaos cell kills gpu 0 at this time. */
+constexpr double clusterChaosAtSec = 40.0;
+/** Arrivals later than clusterChaosAtSec - clusterChaosDrainSec avoid
+ *  gpu 0, so the dying engine is idle when its memory goes dark. */
+constexpr double clusterChaosDrainSec = 30.0;
+static_assert(clusterChaosAtSec > clusterChaosDrainSec);
 
 ClusterPrefixResult
 runClusterPrefix(const ClusterPrefixConfig &cfg)
@@ -645,7 +662,6 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         serve::VllmEngineConfig engineCfg;
         engineCfg.prefixCache = true;
         engineCfg.prefixEviction = cfg.eviction;
-        engineCfg.clusterPrefix = cfg.registry;
         engineCfg.clusterBorrowMaxBlocks = cfg.borrowMaxBlocks;
         engineCfg.kvPrecision = cfg.kvPrecision;
         engineCfg.sparseReadFraction = cfg.sparseReadFraction;
@@ -664,11 +680,9 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
     // The chaos cell permanently kills gpu 0 — the preamble chain's
     // home, since the first request lands there — once the drain
     // margin has idled its engine, and audits recovery on survivors.
-    Tick chaosAt = secToTicks(cfg.chaosAtSec);
+    Tick chaosAt = secToTicks(clusterChaosAtSec);
     Tick avoidGpu0After =
-        cfg.chaosAtSec > cfg.chaosDrainSec
-            ? secToTicks(cfg.chaosAtSec - cfg.chaosDrainSec)
-            : 0;
+        secToTicks(clusterChaosAtSec - clusterChaosDrainSec);
     bool chaos = cfg.chaos && n > 1;
     std::unique_ptr<fault::FaultInjector> inj;
     if (chaos) {
@@ -765,8 +779,7 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         expected = std::size_t(cfg.users) * cfg.turns;
     } else {
         std::vector<workload::Request> trace = traces->sharedPrefix(
-            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens,
-            cfg.numGroups);
+            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens);
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const workload::Request &r = trace[i];
             promptTotal += r.promptTokens;
@@ -866,13 +879,24 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
     return result;
 }
 
+/** The federation chaos cell kills the origin server's home GPU at
+ *  this time. */
+constexpr double fedChaosAtSec = 20.0;
+/** Arrivals later than fedChaosAtSec - fedChaosDrainSec avoid the
+ *  dying server, so its engine is idle when the GPU goes dark. */
+constexpr double fedChaosDrainSec = 15.0;
+static_assert(fedChaosAtSec > fedChaosDrainSec);
+/** The chaos cell's fabric degradation window and factor. */
+constexpr double fabricDegradeAtSec = 4.0;
+constexpr double fabricDegradeForSec = 30.0;
+constexpr double fabricDegradeFactor = 0.05;
+
 FederationRunResult
 runFederation(const FederationRunConfig &cfg)
 {
     std::size_t n = std::max<std::size_t>(2, cfg.servers);
-    MultiServerCluster cluster(n, std::max<std::size_t>(
-                                      2, cfg.gpusPerServer),
-                               cfg.seed, cfg.fabric);
+    MultiServerCluster cluster(
+        n, std::max<std::size_t>(2, cfg.gpusPerServer), cfg.seed);
     ModelSpec spec = presetByName(cfg.consumerModel);
 
     // Every server runs its own prefix registry (the per-domain silo)
@@ -904,10 +928,8 @@ runFederation(const FederationRunConfig &cfg)
         serve::DramBackend &backend = tb.makeDramBackend(0);
         serve::VllmEngineConfig engineCfg;
         engineCfg.prefixCache = true;
-        engineCfg.clusterPrefix = true;
         engineCfg.clusterBorrowMaxBlocks = cfg.borrowMaxBlocks;
         engineCfg.kvPrecision = cfg.kvPrecision;
-        engineCfg.federation = cfg.federation;
         engineCfg.federationSafetyFactor = cfg.federationSafetyFactor;
         engines.push_back(std::make_unique<serve::VllmEngine>(
             tb.server(), 0, spec,
@@ -927,11 +949,8 @@ runFederation(const FederationRunConfig &cfg)
     // gpu 0, where the first request lands — once the drain margin has
     // idled its engine, and degrades the fabric for a window that
     // overlaps in-flight federation streams.
-    Tick chaosAt = secToTicks(cfg.chaosAtSec);
-    Tick avoidServer0After =
-        cfg.chaosAtSec > cfg.chaosDrainSec
-            ? secToTicks(cfg.chaosAtSec - cfg.chaosDrainSec)
-            : 0;
+    Tick chaosAt = secToTicks(fedChaosAtSec);
+    Tick avoidServer0After = secToTicks(fedChaosAtSec - fedChaosDrainSec);
     bool chaos = cfg.chaos;
     std::unique_ptr<fault::FaultInjector> inj;
     if (chaos) {
@@ -958,9 +977,9 @@ runFederation(const FederationRunConfig &cfg)
         fault::FaultSpec degrade;
         degrade.kind = fault::FaultKind::LinkDegrade;
         degrade.link = fault::FaultLink::Fabric;
-        degrade.at = secToTicks(cfg.fabricDegradeAtSec);
-        degrade.duration = secToTicks(cfg.fabricDegradeForSec);
-        degrade.factor = cfg.fabricDegradeFactor;
+        degrade.at = secToTicks(fabricDegradeAtSec);
+        degrade.duration = secToTicks(fabricDegradeForSec);
+        degrade.factor = fabricDegradeFactor;
         plan.add(degrade);
         inj->arm(plan);
     }
@@ -1036,8 +1055,7 @@ runFederation(const FederationRunConfig &cfg)
         expected = std::size_t(cfg.users) * cfg.turns;
     } else {
         std::vector<workload::Request> trace = traces->sharedPrefix(
-            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens,
-            cfg.numGroups);
+            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens);
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const workload::Request &r = trace[i];
             promptTotal += r.promptTokens;
@@ -1134,6 +1152,12 @@ runFederation(const FederationRunConfig &cfg)
     return result;
 }
 
+/** Nominal (x1 load) bursty trace: quiet and burst arrival rates
+ *  (req/s) and the length of each phase. */
+constexpr double overloadQuietRate = 0.5;
+constexpr double overloadBurstRate = 1.5;
+constexpr double overloadPhaseSec = 15.0;
+
 OverloadRunResult
 runOverload(const OverloadRunConfig &cfg)
 {
@@ -1212,12 +1236,12 @@ runOverload(const OverloadRunConfig &cfg)
 
     workload::TraceBuilder traces(tb.sim().makeRandom());
     workload::SloSpec slo;
-    slo.multiple = cfg.sloMultiple;
+    slo.multiple = overloadSloMultiple;
     slo.bestEffortFraction = cfg.bestEffortFraction;
     traces.setSlo(slo);
     std::vector<workload::Request> trace = traces.bursty(
-        cfg.quietRate * cfg.loadMultiplier,
-        cfg.burstRate * cfg.loadMultiplier, cfg.phaseSec,
+        overloadQuietRate * cfg.loadMultiplier,
+        overloadBurstRate * cfg.loadMultiplier, overloadPhaseSec,
         cfg.numRequests);
     driveTrace(tb.sim(), consumer, trace);
 
@@ -1258,15 +1282,13 @@ runOverload(const OverloadRunConfig &cfg)
     // scheduler the admission queue stays empty and overload stretches
     // decode instead, so admit-minus-arrival would read zero.
     stats::Summary qd;
-    if (cfg.sloMultiple > 0.0) {
-        for (const auto &m : res.metrics) {
-            if (m.shed || !m.finished() || m.deadline == 0)
-                continue;
-            double sojourn = ticksToSec(m.finish - m.arrival);
-            double baseline =
-                ticksToSec(m.deadline - m.arrival) / cfg.sloMultiple;
-            qd.add(std::max(0.0, sojourn - baseline));
-        }
+    for (const auto &m : res.metrics) {
+        if (m.shed || !m.finished() || m.deadline == 0)
+            continue;
+        double sojourn = ticksToSec(m.finish - m.arrival);
+        double baseline =
+            ticksToSec(m.deadline - m.arrival) / overloadSloMultiple;
+        qd.add(std::max(0.0, sojourn - baseline));
     }
     if (!qd.empty()) {
         res.queueDelayP50Sec = qd.median();

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "hw/fabric.hh"
 #include "model/model_spec.hh"
 #include "placer/placer.hh"
 #include "serve/prefix_index.hh"
@@ -118,7 +117,6 @@ LongPromptResult runLongPrompt(const LongPromptConfig &cfg);
 struct LoraExperimentConfig
 {
     OffloadMode mode = OffloadMode::Dram;
-    std::string baseModel = "Mistral-7B";
     /** Producer co-located on the server ("" = text producer). */
     std::string producerModel = "StableDiffusion";
     std::uint32_t numAdapters = 30;
@@ -150,12 +148,6 @@ struct ElasticExperimentConfig
     bool withAqua = true;
     std::string producerModel = "Llama-2-13B";
     std::string consumerModel = "OPT-30B";
-    /** Consumer long-prompt start (the paper's ~150 s mark). */
-    double consumerStartSec = 150.0;
-    /** First load phase: 100 requests at 1 req/s. */
-    double phase1RateGap = 150.0;
-    /** Second phase start (the paper's 400 s mark): 250 @ 5 req/s. */
-    double phase2StartSec = 400.0;
     double durationSec = 700.0;
     std::uint64_t seed = 1;
 };
@@ -263,6 +255,9 @@ ChatbotResult runChatbot(const ChatbotConfig &cfg);
 // traffic, throughput).
 //
 
+/** Distinct system prompts in play in the prefix-caching ablation. */
+inline constexpr std::uint32_t prefixAblationGroups = 2;
+
 struct PrefixAblationConfig
 {
     bool prefixCache = true;
@@ -275,8 +270,6 @@ struct PrefixAblationConfig
     std::size_t numRequests = 120;
     /** Shared preamble (system prompt) length per group. */
     std::uint32_t prefixTokens = 768;
-    /** Distinct system prompts in play. */
-    std::uint32_t numGroups = 2;
     std::string consumerModel = "Codellama-34B";
     std::string producerModel = "Kandinsky";
     /** KV storage precision (fp16 = exact legacy behaviour). */
@@ -324,8 +317,6 @@ struct ClusterPrefixConfig
     std::size_t numRequests = 96;
     /** Shared preamble (system prompt) length, tokens. */
     std::uint32_t prefixTokens = 768;
-    /** Distinct preambles in play. */
-    std::uint32_t numGroups = 1;
     /** Chatbot users and turns (chatbot = true). */
     std::uint32_t users = 16;
     std::uint32_t turns = 3;
@@ -337,10 +328,6 @@ struct ClusterPrefixConfig
     /** Chaos: permanently kill the preamble's home GPU (gpu 0)
      *  mid-run and audit recovery on the survivors. */
     bool chaos = false;
-    double chaosAtSec = 40.0;
-    /** Arrivals later than chaosAtSec - chaosDrainSec avoid gpu 0,
-     *  so the dying engine is idle when its memory goes dark. */
-    double chaosDrainSec = 30.0;
     /** KV storage precision on every engine (fp16 = legacy). */
     model::KvPrecision kvPrecision = model::KvPrecision::Fp16;
     /** Sparse-attention read fraction; < 1.0 also raises the
@@ -433,8 +420,6 @@ struct FederationRunConfig
     std::size_t numRequests = 36;
     /** Shared preamble (system prompt) length, tokens. */
     std::uint32_t prefixTokens = 768;
-    /** Distinct preambles in play. */
-    std::uint32_t numGroups = 1;
     /** Chatbot users and turns (chatbot = true). */
     std::uint32_t users = 9;
     std::uint32_t turns = 3;
@@ -448,17 +433,9 @@ struct FederationRunConfig
     /** Static wire degradation applied before the run, in (0, 1];
      *  the cost-model sweep's knob. */
     double fabricDegradation = 1.0;
-    hw::FabricConfig fabric;
     /** Chaos: kill the origin server's home GPU permanently and
      *  degrade the fabric for a window mid-run. */
     bool chaos = false;
-    double chaosAtSec = 20.0;
-    /** Arrivals later than chaosAtSec - chaosDrainSec avoid the dying
-     *  server, so its engine is idle when the GPU goes dark. */
-    double chaosDrainSec = 15.0;
-    double fabricDegradeAtSec = 4.0;
-    double fabricDegradeForSec = 30.0;
-    double fabricDegradeFactor = 0.05;
     /** KV storage precision on every engine (fp16 = legacy). */
     model::KvPrecision kvPrecision = model::KvPrecision::Fp16;
     std::string consumerModel = "Codellama-34B";
@@ -539,6 +516,10 @@ FederationRunResult runFederation(const FederationRunConfig &cfg);
 // delay where the uncontrolled baseline collapses.
 //
 
+/** Overload deadlines: arrival + overloadSloMultiple x the
+ *  fault-free baseline latency. */
+inline constexpr double overloadSloMultiple = 3.0;
+
 struct OverloadRunConfig
 {
     ServeMode mode = ServeMode::CfsAqua;
@@ -546,17 +527,12 @@ struct OverloadRunConfig
     bool controlled = false;
     /** Scales both burst-phase arrival rates (x1 = nominal load). */
     double loadMultiplier = 1.0;
-    double quietRate = 0.5;
-    double burstRate = 1.5;
-    double phaseSec = 15.0;
     std::size_t numRequests = 150;
     /** Engine capacity, deliberately small so the sweep saturates
      *  within a short trace: decode batch cap (0 = engine default)
      *  and explicit KV pool bytes (0 = derived from spare HBM). */
     std::uint32_t maxBatch = 16;
     std::uint64_t kvPoolBytes = 4ull * 1000 * 1000 * 1000;
-    /** Deadline = arrival + sloMultiple x fault-free baseline. */
-    double sloMultiple = 3.0;
     /** Fraction of requests submitted best-effort (no deadline). */
     double bestEffortFraction = 0.2;
     /** Admission safety factor (prediction pessimism). */

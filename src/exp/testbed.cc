@@ -30,11 +30,10 @@ Testbed::Testbed(Simulation &sharedSim, std::size_t numGpus,
 std::unique_ptr<MultiServerCluster>
 Testbed::makeMultiServerCluster(std::size_t nServers,
                                 std::size_t gpusPerServer,
-                                std::uint64_t seed,
-                                hw::FabricConfig fabricConfig)
+                                std::uint64_t seed)
 {
-    return std::make_unique<MultiServerCluster>(
-        nServers, gpusPerServer, seed, fabricConfig);
+    return std::make_unique<MultiServerCluster>(nServers, gpusPerServer,
+                                                seed);
 }
 
 core::AquaLib &
@@ -115,8 +114,7 @@ Testbed::makeRecovery()
 
 MultiServerCluster::MultiServerCluster(std::size_t nServers,
                                        std::size_t gpusPerServer,
-                                       std::uint64_t seed,
-                                       hw::FabricConfig fabricConfig)
+                                       std::uint64_t seed)
     : simulation(std::make_unique<Simulation>(seed))
 {
     if (nServers < 2)
@@ -127,8 +125,7 @@ MultiServerCluster::MultiServerCluster(std::size_t nServers,
     for (std::size_t i = 0; i < nServers; ++i)
         servers.push_back(std::make_unique<Testbed>(
             *simulation, gpusPerServer, kind));
-    wire = std::make_unique<hw::Fabric>(*simulation, nServers,
-                                        fabricConfig);
+    wire = std::make_unique<hw::Fabric>(*simulation, nServers);
     for (std::size_t i = 0; i < nServers; ++i)
         wire->attachServer(i, servers[i]->server().topology());
 }

@@ -62,8 +62,7 @@ class Testbed
     static std::unique_ptr<MultiServerCluster>
     makeMultiServerCluster(std::size_t nServers,
                            std::size_t gpusPerServer,
-                           std::uint64_t seed = 1,
-                           hw::FabricConfig fabricConfig = {});
+                           std::uint64_t seed = 1);
 
     aqua::sim::Simulation &sim() { return *simRef; }
     hw::Server &server() { return *srv; }
@@ -162,8 +161,7 @@ class MultiServerCluster
 {
   public:
     MultiServerCluster(std::size_t nServers, std::size_t gpusPerServer,
-                       std::uint64_t seed = 1,
-                       hw::FabricConfig fabricConfig = {});
+                       std::uint64_t seed = 1);
 
     MultiServerCluster(const MultiServerCluster &) = delete;
     MultiServerCluster &operator=(const MultiServerCluster &) = delete;

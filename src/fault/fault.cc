@@ -283,6 +283,24 @@ FaultPlan::fromParse(const FaultPlanParse &parsed)
     return plan;
 }
 
+/** Degraded-bandwidth factor range [min, max) of random chaos. */
+constexpr double minDegradeFactor = 0.1;
+constexpr double maxDegradeFactor = 0.5;
+/** Mean degradation length; exponential. */
+constexpr Tick meanDegradeTime = 10 * nsPerMs;
+/** Max flap cycles per degradation (uniform in [1, max]). */
+constexpr std::uint32_t maxFlaps = 3;
+/** Injected per-call delay inside a delay window. */
+constexpr Tick messageDelay = 1 * nsPerMs;
+/** Mean crash (dead-coordinator) length; exponential. */
+constexpr Tick meanCrashTime = 2 * nsPerMs;
+/** Per-payload corruption probability inside a window. */
+constexpr double corruptProbability = 0.05;
+/** Mean corruption-window length; exponential. */
+constexpr Tick meanCorruptTime = 5 * nsPerMs;
+/** Mean bitrot-window length; exponential. */
+constexpr Tick meanBitrotTime = 5 * nsPerMs;
+
 FaultPlan
 FaultPlan::random(std::uint64_t seed, const ChaosConfig &cfg)
 {
@@ -318,13 +336,11 @@ FaultPlan::random(std::uint64_t seed, const ChaosConfig &cfg)
         FaultSpec f;
         f.kind = FaultKind::LinkDegrade;
         f.at = when();
-        f.duration = length(cfg.meanDegradeTime);
+        f.duration = length(meanDegradeTime);
         f.link = rng.bernoulli(0.5) ? FaultLink::Nvlink
                                     : FaultLink::Pcie;
-        f.factor = rng.uniform(cfg.minDegradeFactor,
-                               cfg.maxDegradeFactor);
-        f.flaps = static_cast<std::uint32_t>(
-            rng.uniformInt(1, cfg.maxFlaps > 0 ? cfg.maxFlaps : 1));
+        f.factor = rng.uniform(minDegradeFactor, maxDegradeFactor);
+        f.flaps = static_cast<std::uint32_t>(rng.uniformInt(1, maxFlaps));
         plan.add(f);
     }
     for (std::uint32_t i = 0; i < cfg.outages; ++i) {
@@ -347,14 +363,14 @@ FaultPlan::random(std::uint64_t seed, const ChaosConfig &cfg)
         f.kind = FaultKind::MessageDelay;
         f.at = when();
         f.duration = length(cfg.meanDelayTime);
-        f.delay = cfg.messageDelay;
+        f.delay = messageDelay;
         plan.add(f);
     }
     for (std::uint32_t i = 0; i < cfg.crashes; ++i) {
         FaultSpec f;
         f.kind = FaultKind::CoordinatorCrash;
         f.at = when();
-        Tick d = length(cfg.meanCrashTime);
+        Tick d = length(meanCrashTime);
         f.duration = d > 0 ? d : 1; // a crash always restarts
         f.loseTail = static_cast<std::uint32_t>(rng.uniformInt(
             0, static_cast<std::int64_t>(cfg.crashLoseTail)));
@@ -364,16 +380,16 @@ FaultPlan::random(std::uint64_t seed, const ChaosConfig &cfg)
         FaultSpec f;
         f.kind = FaultKind::PayloadCorrupt;
         f.at = when();
-        Tick d = length(cfg.meanCorruptTime);
+        Tick d = length(meanCorruptTime);
         f.duration = d > 0 ? d : 1;
-        f.probability = cfg.corruptProbability;
+        f.probability = corruptProbability;
         plan.add(f);
     }
     for (std::uint32_t i = 0; i < cfg.bitrotWindows; ++i) {
         FaultSpec f;
         f.kind = FaultKind::SsdBitrot;
         f.at = when();
-        Tick d = length(cfg.meanBitrotTime);
+        Tick d = length(meanBitrotTime);
         f.duration = d > 0 ? d : 1;
         f.probability = cfg.bitrotProbability;
         plan.add(f);

@@ -172,13 +172,6 @@ struct ChaosConfig
     aqua::sim::Tick gpuGrace = 50 * aqua::sim::nsPerMs;
     /** Number of link degradation events. */
     std::uint32_t linkDegrades = 0;
-    /** Degraded-bandwidth factor range [min, max). */
-    double minDegradeFactor = 0.1;
-    double maxDegradeFactor = 0.5;
-    /** Mean degradation length; exponential. */
-    aqua::sim::Tick meanDegradeTime = 10 * aqua::sim::nsPerMs;
-    /** Max flap cycles per degradation (uniform in [1, max]). */
-    std::uint32_t maxFlaps = 3;
     /** Number of coordinator outage windows. */
     std::uint32_t outages = 0;
     /** Mean outage length; exponential. */
@@ -191,29 +184,19 @@ struct ChaosConfig
     aqua::sim::Tick meanDropTime = 2 * aqua::sim::nsPerMs;
     /** Number of message-delay windows. */
     std::uint32_t delayWindows = 0;
-    /** Injected per-call delay inside a delay window. */
-    aqua::sim::Tick messageDelay = 1 * aqua::sim::nsPerMs;
     /** Mean delay-window length; exponential. */
     aqua::sim::Tick meanDelayTime = 5 * aqua::sim::nsPerMs;
     /** Number of coordinator crash/restart cycles. */
     std::uint32_t crashes = 0;
-    /** Mean crash (dead-coordinator) length; exponential. */
-    aqua::sim::Tick meanCrashTime = 2 * aqua::sim::nsPerMs;
     /** Max journal-tail records lost per crash (uniform in
      *  [0, max]). */
     std::uint32_t crashLoseTail = 0;
     /** Number of payload-corruption windows. */
     std::uint32_t corruptWindows = 0;
-    /** Per-payload corruption probability inside a window. */
-    double corruptProbability = 0.05;
-    /** Mean corruption-window length; exponential. */
-    aqua::sim::Tick meanCorruptTime = 5 * aqua::sim::nsPerMs;
     /** Number of SSD bitrot windows. */
     std::uint32_t bitrotWindows = 0;
     /** Per-read bitrot probability inside a window. */
     double bitrotProbability = 0.05;
-    /** Mean bitrot-window length; exponential. */
-    aqua::sim::Tick meanBitrotTime = 5 * aqua::sim::nsPerMs;
 };
 
 /**

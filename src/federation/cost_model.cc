@@ -4,6 +4,12 @@
 
 namespace aqua::federation {
 
+/**
+ * Fixed control-plane cost per fetch: the fetch_begin grant and the
+ * fetch_end validation, each one coordinator round trip.
+ */
+constexpr aqua::sim::Tick controlOverhead = 2 * aqua::sim::nsPerUs;
+
 FederationCostModel::FederationCostModel(const hw::Fabric &fabric,
                                          const model::PerfModel &perf,
                                          FederationCostConfig config)
@@ -21,7 +27,7 @@ FederationCostModel::decide(std::size_t homeServer,
     FederationDecision d;
     d.streamEstimate =
         fabric.streamEstimate(homeServer, consumerServer, wireBytes);
-    d.streamOverhead = cfg.controlOverhead +
+    d.streamOverhead = controlOverhead +
                        perf.dequantTimeAt(wireBytes, precision);
     d.prefillEstimate = perf.prefillTime(tokens);
     d.stream = model::streamBeatsRecompute(

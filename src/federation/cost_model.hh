@@ -38,11 +38,6 @@ struct FederationCostConfig
      * fabric; a mispredicted recompute merely burns FLOPs).
      */
     double safetyFactor = 1.2;
-    /**
-     * Fixed control-plane cost per fetch: the fetch_begin grant and
-     * the fetch_end validation, each one coordinator round trip.
-     */
-    aqua::sim::Tick controlOverhead = 2 * aqua::sim::nsPerUs;
 };
 
 /** One decision with the quantities that produced it. */

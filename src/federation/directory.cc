@@ -14,6 +14,9 @@ using aqua::sim::Tick;
 using aqua::sim::panic;
 using json::Value;
 
+/** Full-table anti-entropy refresh period. */
+constexpr Tick antiEntropyPeriod = 50 * aqua::sim::nsPerMs;
+
 FederationDirectory::FederationDirectory(
     aqua::sim::Simulation &sim, cluster::PrefixRegistry &registry,
     DirectoryConfig config)
@@ -153,7 +156,7 @@ FederationDirectory::pushToPeers(const DirectoryEntry &entry)
 {
     if (peers.empty())
         return;
-    Tick when = sim.now() + cfg.gossipDelay;
+    Tick when = sim.now() + gossipDelay;
     // Copy the entry: by delivery time the local table may have moved
     // on, but gossip delivers what was advertised, in version order.
     DirectoryEntry e = entry;
@@ -179,7 +182,7 @@ FederationDirectory::startAntiEntropy(Tick until)
     if (antiEntropyArmed)
         panic("FederationDirectory: anti-entropy already started");
     antiEntropyArmed = true;
-    Tick first = sim.now() + cfg.antiEntropyPeriod;
+    Tick first = sim.now() + antiEntropyPeriod;
     if (first >= until)
         return;
     // A self-rescheduling round; the explicit horizon keeps the event
@@ -192,7 +195,7 @@ FederationDirectory::startAntiEntropy(Tick until)
     std::weak_ptr<std::function<void()>> weak = tick;
     *tick = [this, until, weak]() {
         antiEntropyRound();
-        Tick next = sim.now() + cfg.antiEntropyPeriod;
+        Tick next = sim.now() + antiEntropyPeriod;
         std::shared_ptr<std::function<void()>> self = weak.lock();
         if (self && next < until)
             sim.queue().schedule(next, [self] { (*self)(); });

@@ -58,15 +58,14 @@ class StateJournal;
 
 namespace aqua::federation {
 
+/** Delay before a changed advert reaches each peer. */
+inline constexpr aqua::sim::Tick gossipDelay = 100 * aqua::sim::nsPerUs;
+
 /** Directory tunables. */
 struct DirectoryConfig
 {
     /** This server's id on the fabric. */
     std::uint32_t serverId = 0;
-    /** Delay before a changed advert reaches each peer. */
-    aqua::sim::Tick gossipDelay = 100 * aqua::sim::nsPerUs;
-    /** Full-table anti-entropy refresh period. */
-    aqua::sim::Tick antiEntropyPeriod = 50 * aqua::sim::nsPerMs;
     /**
      * Harvest-style admission cap: concurrent remote consumers this
      * server will serve as a stream source. Further fetch_begin

@@ -9,16 +9,29 @@ namespace aqua::hw {
 using aqua::sim::Tick;
 using aqua::sim::panic;
 
-Fabric::Fabric(aqua::sim::Simulation &sim, std::size_t numServers,
-               FabricConfig config)
-    : sim(sim), cfg(config),
-      wire("fabric", config.nicBandwidth, config.rampBytes,
-           config.latency)
+/** Per-NIC peak bandwidth, bytes/second (~400 Gb/s). */
+constexpr double nicBandwidth = 50.0e9;
+/**
+ * Transfer size reaching half the NIC peak. Much larger than the
+ * NVLink ramp: RDMA setup and congestion control make small messages
+ * proportionally slower on the wire.
+ */
+constexpr std::uint64_t rampBytes = 32ull << 20;
+/** Fixed per-transfer wire latency (propagation + switching). */
+constexpr Tick wireLatency = 20 * aqua::sim::nsPerUs;
+/**
+ * Leaf-spine oversubscription: the core admits only
+ * numServers / oversubscription concurrent full-rate flows (min 1).
+ * 1.0 = non-blocking.
+ */
+constexpr double oversubscription = 4.0;
+static_assert(oversubscription >= 1.0);
+
+Fabric::Fabric(aqua::sim::Simulation &sim, std::size_t numServers)
+    : sim(sim), wire("fabric", nicBandwidth, rampBytes, wireLatency)
 {
     if (numServers < 2)
         panic("Fabric: need at least 2 servers, got %zu", numServers);
-    if (cfg.oversubscription < 1.0)
-        panic("Fabric: oversubscription must be >= 1.0");
     for (std::size_t s = 0; s < numServers; ++s) {
         Nic nic;
         nic.tx = std::make_unique<Resource>(
@@ -29,7 +42,7 @@ Fabric::Fabric(aqua::sim::Simulation &sim, std::size_t numServers,
     }
     std::size_t ways = std::max<std::size_t>(
         1, static_cast<std::size_t>(static_cast<double>(numServers) /
-                                    cfg.oversubscription));
+                                    oversubscription));
     for (std::size_t w = 0; w < ways; ++w) {
         spine.push_back(std::make_unique<Resource>(
             "fabric.spine" + std::to_string(w)));

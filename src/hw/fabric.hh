@@ -41,27 +41,6 @@
 
 namespace aqua::hw {
 
-/** Fabric tunables. */
-struct FabricConfig
-{
-    /** Per-NIC peak bandwidth, bytes/second (default ~400 Gb/s). */
-    double nicBandwidth = 50.0e9;
-    /**
-     * Transfer size reaching half the NIC peak. Much larger than the
-     * NVLink ramp: RDMA setup and congestion control make small
-     * messages proportionally slower on the wire.
-     */
-    std::uint64_t rampBytes = 32ull << 20;
-    /** Fixed per-transfer wire latency (propagation + switching). */
-    aqua::sim::Tick latency = 20 * aqua::sim::nsPerUs;
-    /**
-     * Leaf-spine oversubscription: the core admits only
-     * numServers / oversubscription concurrent full-rate flows
-     * (min 1). 1.0 = non-blocking.
-     */
-    double oversubscription = 4.0;
-};
-
 /** Counters exposed for benches and tests. */
 struct FabricStats
 {
@@ -80,17 +59,14 @@ class Fabric
     /**
      * @param sim Shared simulation (one clock across all servers).
      * @param numServers Servers on the fabric.
-     * @param config Tunables.
      */
-    Fabric(aqua::sim::Simulation &sim, std::size_t numServers,
-           FabricConfig config = {});
+    Fabric(aqua::sim::Simulation &sim, std::size_t numServers);
 
     Fabric(const Fabric &) = delete;
     Fabric &operator=(const Fabric &) = delete;
 
     std::size_t numServers() const { return nics.size(); }
     const Link &wireLink() const { return wire; }
-    const FabricConfig &config() const { return cfg; }
     const FabricStats &stats() const { return counters; }
 
     /**
@@ -161,7 +137,6 @@ class Fabric
     };
 
     aqua::sim::Simulation &sim;
-    FabricConfig cfg;
     Link wire;
     std::vector<Nic> nics;
     /** Spine ways; a transfer grabs the earliest-free one. */

@@ -51,6 +51,11 @@ LinearProgram::setBounds(int var, double lo, double hi)
 
 namespace {
 
+/** Pivot budget before giving up with LpStatus::IterLimit. */
+constexpr std::uint64_t maxIterations = 200000;
+/** Zero tolerance of costs, pivots and ratio-test ties. */
+constexpr double eps = 1e-9;
+
 /**
  * Dense two-phase simplex working on the standard-form expansion of
  * the LP: variables shifted to x' = x - lo >= 0, finite upper bounds
@@ -60,9 +65,7 @@ namespace {
 class Simplex
 {
   public:
-    Simplex(const LinearProgram &lp, const SimplexOptions &opt)
-        : lp(lp), opt(opt)
-    {}
+    explicit Simplex(const LinearProgram &lp) : lp(lp) {}
 
     LpResult
     run()
@@ -214,7 +217,7 @@ class Simplex
     {
         for (int i = 0; i < m; ++i) {
             double c = costRow[basis[i]];
-            if (std::abs(c) < opt.eps)
+            if (std::abs(c) < eps)
                 continue;
             for (int j = 0; j <= cols; ++j)
                 costRow[j] -= c * tab[i][j];
@@ -233,14 +236,14 @@ class Simplex
     iterate(std::uint64_t &iterations)
     {
         for (;;) {
-            if (iterations >= opt.maxIterations)
+            if (iterations >= maxIterations)
                 return LpStatus::IterLimit;
             // Entering column: smallest index with negative reduced
             // cost (Bland). Phase 2 never re-admits artificials.
             int enter = -1;
             int limit = phase1 ? cols : artificialStart;
             for (int j = 0; j < limit; ++j) {
-                if (costRow[j] < -opt.eps) {
+                if (costRow[j] < -eps) {
                     enter = j;
                     break;
                 }
@@ -252,11 +255,11 @@ class Simplex
             int leave = -1;
             double bestRatio = 0.0;
             for (int i = 0; i < m; ++i) {
-                if (tab[i][enter] <= opt.eps)
+                if (tab[i][enter] <= eps)
                     continue;
                 double ratio = tab[i][cols] / tab[i][enter];
-                if (leave < 0 || ratio < bestRatio - opt.eps ||
-                    (ratio < bestRatio + opt.eps &&
+                if (leave < 0 || ratio < bestRatio - eps ||
+                    (ratio < bestRatio + eps &&
                      basis[i] < basis[leave])) {
                     leave = i;
                     bestRatio = ratio;
@@ -280,7 +283,7 @@ class Simplex
             if (i == row)
                 continue;
             double f = tab[i][col];
-            if (std::abs(f) < opt.eps)
+            if (std::abs(f) < eps)
                 continue;
             for (int j = 0; j <= cols; ++j)
                 tab[i][j] -= f * tab[row][j];
@@ -331,7 +334,6 @@ class Simplex
     }
 
     const LinearProgram &lp;
-    const SimplexOptions &opt;
     int n = 0;
     int m = 0;
     int cols = 0;
@@ -346,9 +348,9 @@ class Simplex
 } // anonymous namespace
 
 LpResult
-solveLp(const LinearProgram &lp, SimplexOptions options)
+solveLp(const LinearProgram &lp)
 {
-    Simplex solver(lp, options);
+    Simplex solver(lp);
     return solver.run();
 }
 

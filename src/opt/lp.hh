@@ -93,15 +93,8 @@ struct LpResult
     bool optimal() const { return status == LpStatus::Optimal; }
 };
 
-/** Solver tunables. */
-struct SimplexOptions
-{
-    std::uint64_t maxIterations = 200000;
-    double eps = 1e-9;
-};
-
 /** Solve with two-phase primal simplex. */
-LpResult solveLp(const LinearProgram &lp, SimplexOptions options = {});
+LpResult solveLp(const LinearProgram &lp);
 
 } // namespace aqua::opt
 

@@ -10,6 +10,11 @@
 
 namespace aqua::opt {
 
+/** A relaxed value within this of an integer counts as integral. */
+constexpr double integerTolerance = 1e-6;
+/** Prune children whose bound is within this of the incumbent. */
+constexpr double objectiveGap = 1e-9;
+
 MilpSolver::MilpSolver(LinearProgram lp, std::vector<int> integers,
                        MilpOptions options)
     : base(std::move(lp)), integerVars(std::move(integers)),
@@ -60,7 +65,7 @@ MilpSolver::solve()
         }
         Node node = open.top();
         open.pop();
-        if (node.bound >= incObj - opt.objectiveGap)
+        if (node.bound >= incObj - objectiveGap)
             continue; // pruned by a newer incumbent / seed bound
         ++result.nodesExplored;
 
@@ -79,7 +84,7 @@ MilpSolver::solve()
         if (!consistent)
             continue;
 
-        LpResult relaxed = solveLp(lp, opt.lp);
+        LpResult relaxed = solveLp(lp);
         result.lpIterations += relaxed.iterations;
         if (relaxed.status == LpStatus::Infeasible)
             continue;
@@ -92,12 +97,12 @@ MilpSolver::solve()
             hitLimit = true;
             continue;
         }
-        if (relaxed.objective >= incObj - opt.objectiveGap)
+        if (relaxed.objective >= incObj - objectiveGap)
             continue;
 
         // Find the most fractional integer variable.
         int branchVar = -1;
-        double worstFrac = opt.integerTolerance;
+        double worstFrac = integerTolerance;
         for (int var : integerVars) {
             double v = relaxed.x[var];
             double frac = std::abs(v - std::round(v));

@@ -54,10 +54,6 @@ struct MilpOptions
     std::uint64_t maxNodes = 200000;
     /** Wall-clock budget in seconds; 0 = unlimited. */
     double maxSeconds = 0.0;
-    double integerTolerance = 1e-6;
-    /** Prune children whose bound is within this of the incumbent. */
-    double objectiveGap = 1e-9;
-    SimplexOptions lp;
 };
 
 /**

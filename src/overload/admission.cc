@@ -51,8 +51,6 @@ ShedReason
 AdmissionController::assess(const AdmissionQuery &q,
                             BrownoutLevel level) const
 {
-    if (!cfg.enabled)
-        return ShedReason::None;
     if (level >= BrownoutLevel::RejectNew)
         return ShedReason::BrownoutReject;
     if (q.bestEffort && level >= BrownoutLevel::ShedBestEffort)

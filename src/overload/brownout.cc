@@ -5,6 +5,22 @@
 
 namespace aqua::overload {
 
+/** Oldest-waiter age leaving pressure (seconds). */
+constexpr double delayLowSec = 0.5;
+
+/** Free-pool fraction at or below which memory pressure deepens an
+ *  active (queue-driven) brownout. A low fraction alone is not
+ *  overload — a busy offloaded engine runs its pool full. */
+constexpr double freeLow = 0.10;
+
+/** NVLink health at or below which the offload circuit opens. */
+constexpr double linkHealthLow = 0.9;
+
+/** CFS slice multiplier applied per level above Normal; the effective
+ *  slice is sliceTokens * sliceScale^level, floored at one token.
+ *  Shorter slices cap how long a brownout victim can hold the GPU. */
+constexpr double sliceScale = 0.5;
+
 const char *
 brownoutLevelName(BrownoutLevel level)
 {
@@ -31,11 +47,11 @@ BrownoutController::BrownoutController(BrownoutConfig config)
 BrownoutLevel
 BrownoutController::targetLevel(const BrownoutSignals &s) const
 {
-    bool queuePressure = s.queueDepth >= cfg.queueHigh ||
-                         s.queueDelaySec >= cfg.delayHighSec;
-    bool memPressure = s.freePoolFraction <= cfg.freeLow;
+    bool queuePressure = s.queueDepth >= queueHigh ||
+                         s.queueDelaySec >= delayHighSec;
+    bool memPressure = s.freePoolFraction <= freeLow;
     bool pathPressure =
-        s.reclaimPressure || s.linkHealth <= cfg.linkHealthLow;
+        s.reclaimPressure || s.linkHealth <= linkHealthLow;
 
     // A full KV pool and a busy offload path are normal steady state
     // for an offloaded engine; neither alone is overload. Degradation
@@ -53,8 +69,8 @@ BrownoutController::targetLevel(const BrownoutSignals &s) const
     // Last rung only under compound pressure: the queue is deep AND
     // either memory is exhausted or the oldest waiter is far past the
     // high-water delay. A single signal never refuses admissions.
-    bool deepQueue = s.queueDepth >= 2 * cfg.queueHigh;
-    bool staleQueue = s.queueDelaySec >= 2 * cfg.delayHighSec;
+    bool deepQueue = s.queueDepth >= 2 * queueHigh;
+    bool staleQueue = s.queueDelaySec >= 2 * delayHighSec;
     if ((deepQueue && (memPressure || staleQueue)) ||
         (memPressure && pathPressure))
         lvl = BrownoutLevel::RejectNew;
@@ -69,11 +85,10 @@ BrownoutController::calm(const BrownoutSignals &s) const
     // swaps while the donor reclaims or the link is degraded). The
     // free-pool fraction does not gate recovery: it legitimately stays
     // low for the lifetime of a busy engine.
-    if (s.queueDepth > cfg.queueLow ||
-        s.queueDelaySec > cfg.delayLowSec)
+    if (s.queueDepth > queueLow || s.queueDelaySec > delayLowSec)
         return false;
     if (current >= BrownoutLevel::ForceDramOffload &&
-        (s.reclaimPressure || s.linkHealth <= cfg.linkHealthLow))
+        (s.reclaimPressure || s.linkHealth <= linkHealthLow))
         return false;
     return true;
 }
@@ -107,9 +122,6 @@ BrownoutController::transitionTo(BrownoutLevel next,
 BrownoutLevel
 BrownoutController::update(const BrownoutSignals &s)
 {
-    if (!cfg.enabled)
-        return current;
-
     BrownoutLevel target = targetLevel(s);
     bool dwelled = s.now - enteredAt >= cfg.minDwell;
 
@@ -132,7 +144,7 @@ BrownoutController::update(const BrownoutSignals &s)
 double
 BrownoutController::sliceFactor() const
 {
-    return std::pow(cfg.sliceScale,
+    return std::pow(sliceScale,
                     static_cast<double>(
                         static_cast<std::uint8_t>(current)));
 }

@@ -83,40 +83,24 @@ struct BrownoutSignals
     double linkHealth = 1.0;
 };
 
-/** Thresholds and hysteresis tunables. */
+/** Queue depth entering / leaving pressure. */
+inline constexpr std::size_t queueHigh = 24;
+inline constexpr std::size_t queueLow = 8;
+
+/** Oldest-waiter age entering pressure (seconds). */
+inline constexpr double delayHighSec = 2.0;
+
+/** How long after a reclaim-driven evacuation the offload path still
+ *  counts as pressured (circuit-breaker hold time; bridges the gaps
+ *  between the staged rounds of one reclaim). */
+inline constexpr aqua::sim::Tick evacPressureWindow =
+    1000 * aqua::sim::nsPerMs;
+
+/** Hysteresis tunables. */
 struct BrownoutConfig
 {
-    bool enabled = true;
-
-    /** Queue depth entering / leaving pressure. */
-    std::size_t queueHigh = 24;
-    std::size_t queueLow = 8;
-
-    /** Oldest-waiter age entering / leaving pressure (seconds). */
-    double delayHighSec = 2.0;
-    double delayLowSec = 0.5;
-
-    /** Free-pool fraction at or below which memory pressure deepens
-     *  an active (queue-driven) brownout. A low fraction alone is not
-     *  overload — a busy offloaded engine runs its pool full. */
-    double freeLow = 0.10;
-
-    /** NVLink health at or below which the offload circuit opens. */
-    double linkHealthLow = 0.9;
-
     /** Minimum time between level changes (hysteresis dwell). */
     aqua::sim::Tick minDwell = 200 * aqua::sim::nsPerMs;
-
-    /** How long after a reclaim-driven evacuation the offload path
-     *  still counts as pressured (circuit-breaker hold time; bridges
-     *  the gaps between the staged rounds of one reclaim). */
-    aqua::sim::Tick evacPressureWindow = 1000 * aqua::sim::nsPerMs;
-
-    /** CFS slice multiplier applied per level above Normal; the
-     *  effective slice is sliceTokens * sliceScale^level, floored at
-     *  one token. Shorter slices cap how long a brownout victim can
-     *  hold the GPU. */
-    double sliceScale = 0.5;
 };
 
 /** Counters and per-level residency accounting. */
@@ -180,7 +164,6 @@ class BrownoutController
                                 aqua::sim::Tick now) const;
 
     const BrownoutStats &stats() const { return counters; }
-    const BrownoutConfig &config() const { return cfg; }
 
   private:
     /** Severity the raw signals call for, ignoring hysteresis. */

@@ -8,6 +8,14 @@ using model::KvPrecision;
 using model::kvPrecisionDivisor;
 using model::kvPrecisionName;
 
+/** Free-pool fraction at or below which cold KV demotes one step (to
+ *  fp8 from an fp16 serving precision). */
+constexpr double freeFp8 = 0.25;
+
+/** Free-pool fraction at or below which cold KV demotes to the floor
+ *  (int4). */
+constexpr double freeInt4 = 0.10;
+
 KvPrecisionGovernor::KvPrecisionGovernor(
     KvPrecisionGovernorConfig config, KvPrecision serving)
     : cfg(config), serving(serving), current(serving)
@@ -22,10 +30,10 @@ KvPrecisionGovernor::targetPrecision(double freePoolFraction,
     // (leading indicator) and the brownout ladder (the engine is
     // already degrading service). Either suffices; take the deeper.
     KvPrecision target = serving;
-    if (freePoolFraction <= cfg.freeFp8 ||
+    if (freePoolFraction <= freeFp8 ||
         level >= BrownoutLevel::NoCachePublish)
         target = KvPrecision::Fp8;
-    if (freePoolFraction <= cfg.freeInt4 ||
+    if (freePoolFraction <= freeInt4 ||
         level >= BrownoutLevel::ForceDramOffload)
         target = KvPrecision::Int4;
 
@@ -65,9 +73,6 @@ KvPrecision
 KvPrecisionGovernor::update(double freePoolFraction,
                             BrownoutLevel level, aqua::sim::Tick now)
 {
-    if (!cfg.enabled)
-        return current;
-
     KvPrecision target = targetPrecision(freePoolFraction, level);
     bool dwelled = now - enteredAt >= cfg.minDwell;
 

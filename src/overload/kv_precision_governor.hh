@@ -33,21 +33,11 @@
 
 namespace aqua::overload {
 
-/** Thresholds and hysteresis tunables. */
+/** Floor and hysteresis tunables. */
 struct KvPrecisionGovernorConfig
 {
-    bool enabled = true;
-
     /** Narrowest precision cold KV may be demoted to. */
     model::KvPrecision floor = model::KvPrecision::Int4;
-
-    /** Free-pool fraction at or below which cold KV demotes one step
-     *  (to fp8 from an fp16 serving precision). */
-    double freeFp8 = 0.25;
-
-    /** Free-pool fraction at or below which cold KV demotes to the
-     *  floor (int4). */
-    double freeInt4 = 0.10;
 
     /** Minimum time between precision changes (hysteresis dwell);
      *  demotion under fresh pressure is always immediate. */

@@ -104,6 +104,14 @@ Placement greedyPlace(const PlacementInput &input);
 class AquaPlacer
 {
   public:
+    /**
+     * @param milpOptions Branch-and-bound budget. maxSeconds == 0 does
+     *        not mean unlimited here: it becomes a 30 s wall-clock
+     *        cap, after which the best incumbent (or the greedy seed)
+     *        is returned, so the result can depend on host speed. A
+     *        run that must be deterministic should pass a large
+     *        maxSeconds together with a maxNodes budget.
+     */
     explicit AquaPlacer(opt::MilpOptions milpOptions = {});
 
     /** Solve a placement instance. */

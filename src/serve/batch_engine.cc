@@ -8,6 +8,9 @@ namespace aqua::serve {
 
 using namespace aqua::sim;
 
+/** Housekeeping cadence while idle. */
+constexpr Tick idleTickPeriod = 100 * nsPerMs;
+
 BatchEngine::BatchEngine(hw::Server &server, hw::GpuId gpu,
                          const model::ModelSpec &modelSpec,
                          BatchEngineConfig config)
@@ -117,7 +120,7 @@ BatchEngine::step()
 
     if (queue.empty()) {
         if (aquaLib)
-            scheduleStep(now + cfg.idleTickPeriod);
+            scheduleStep(now + idleTickPeriod);
         return;
     }
 

@@ -33,8 +33,6 @@ struct BatchEngineConfig
     std::uint32_t batchSize = 0;
     /** Call AQUA-LIB informStats() every this many iterations. */
     std::uint32_t informEveryIters = 1;
-    /** Housekeeping cadence while idle. */
-    aqua::sim::Tick idleTickPeriod = 100 * aqua::sim::nsPerMs;
 };
 
 /**

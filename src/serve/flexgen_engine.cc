@@ -10,6 +10,11 @@ using namespace aqua::sim;
 
 namespace {
 
+/** Prompt tokens processed per prefill iteration. */
+constexpr std::uint32_t chunkTokens = 512;
+/** Call backend->respond() every this many iterations. */
+constexpr std::uint32_t respondEveryIters = 2;
+
 model::ModelSpec
 applyKvConfig(model::ModelSpec spec, const FlexGenConfig &cfg)
 {
@@ -257,7 +262,7 @@ FlexGenEngine::step()
 
     Tick now = server.simulation().now();
     Tick transfersDone = now;
-    if (++itersSinceRespond >= cfg.respondEveryIters) {
+    if (++itersSinceRespond >= respondEveryIters) {
         itersSinceRespond = 0;
         Tick blocked = backend.respond();
         if (blocked > transfersDone)
@@ -276,7 +281,7 @@ FlexGenEngine::step()
     Tick iterDone;
     if (!a.prefillDone) {
         std::uint32_t chunk =
-            std::min(cfg.chunkTokens,
+            std::min(chunkTokens,
                      a.request.promptTokens - a.processedPrompt);
         // Attention over the earlier tokens needs their KV streamed
         // back in.

@@ -38,10 +38,6 @@ namespace aqua::serve {
 /** FlexGen engine tunables. */
 struct FlexGenConfig
 {
-    /** Prompt tokens processed per prefill iteration. */
-    std::uint32_t chunkTokens = 512;
-    /** Call backend->respond() every this many iterations. */
-    std::uint32_t respondEveryIters = 2;
     /**
      * Completely fair scheduling across queued prompts (§5 applies
      * CFS to FlexGen too): after this many generated tokens the

@@ -6,6 +6,20 @@ namespace aqua::serve {
 
 using namespace aqua::sim;
 
+/**
+ * Size of the small per-layer-matrix copies an adapter load issues
+ * (vLLM's default splits an adapter into per-layer q/k/v/o A/B
+ * tensors; ~1.25 MiB each for a 320 MB adapter).
+ */
+constexpr std::uint64_t chunkBytes = (std::uint64_t(5) << 20) / 4;
+/**
+ * Per-copy software overhead (framework tensor handling, paging) on
+ * the unstaged path; zero on staged (AQUA) loads, which copy "the
+ * entire adapter as is to the GPU and then copy the weights to
+ * individual layers" on-device (§B.1).
+ */
+constexpr Tick chunkSetupOverhead = 1 * nsPerMs;
+
 LoraCache::LoraCache(hw::Gpu &gpu, OffloadBackend &backend,
                      std::vector<model::LoraAdapter> adapters,
                      LoraCacheConfig config)
@@ -92,7 +106,7 @@ LoraCache::acquire(model::LoraId id, Tick &loadedUntil)
     ++nMisses;
 
     std::uint64_t chunks =
-        (a.bytes + cfg.chunkBytes - 1) / cfg.chunkBytes;
+        (a.bytes + chunkBytes - 1) / chunkBytes;
     if (chunks == 0)
         chunks = 1;
     hw::TransferTiming timing =
@@ -101,7 +115,7 @@ LoraCache::acquire(model::LoraId id, Tick &loadedUntil)
     if (!backend.staged()) {
         // The unstaged path pays framework overhead per small copy
         // (§B.1's "multiple small data transfers").
-        done += cfg.chunkSetupOverhead * chunks;
+        done += chunkSetupOverhead * chunks;
     }
     e.isResident = true;
     e.pins = 1;

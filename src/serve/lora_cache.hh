@@ -32,19 +32,6 @@ struct LoraCacheConfig
 {
     /** HBM reserved for resident adapters. */
     std::uint64_t capacityBytes = std::uint64_t(10) << 30;
-    /**
-     * Size of the small per-layer-matrix copies the unstaged load
-     * path issues (vLLM's default splits an adapter into per-layer
-     * q/k/v/o A/B tensors; ~1.25 MiB each for a 320 MB adapter).
-     */
-    std::uint64_t chunkBytes = (std::uint64_t(5) << 20) / 4;
-    /**
-     * Per-copy software overhead (framework tensor handling, paging)
-     * on the unstaged path; zero on staged (AQUA) loads, which copy
-     * "the entire adapter as is to the GPU and then copy the weights
-     * to individual layers" on-device (§B.1).
-     */
-    aqua::sim::Tick chunkSetupOverhead = 1 * aqua::sim::nsPerMs;
 };
 
 /**

@@ -9,7 +9,7 @@ using namespace aqua::sim;
 DramBackend::DramBackend(hw::Server &server, hw::GpuId gpu,
                          DramBackendConfig config)
     : server(server), gpu(gpu), cfg(config),
-      engine(server, gpu, config.staging)
+      engine(server, gpu)
 {
 }
 

@@ -102,8 +102,6 @@ struct DramBackendConfig
      * baseline pays the per-chunk cost.
      */
     bool useStaging = false;
-    /** Staging engine tunables when useStaging is set. */
-    core::StagingEngineConfig staging;
 };
 
 /**

@@ -6,10 +6,13 @@ namespace aqua::serve {
 
 using namespace aqua::sim;
 
+/** GPU-side fault handling latency per fault wavefront. */
+constexpr Tick faultLatency = 25 * nsPerUs;
+
 UvmBackend::UvmBackend(hw::Server &server, hw::GpuId gpu,
                        UvmBackendConfig config)
     : server(server), gpu(gpu), cfg(config),
-      engine(server, gpu, config.staging)
+      engine(server, gpu)
 {
     if (cfg.pageBytes == 0 || cfg.prefetchDegree == 0)
         panic("UvmBackend: page size and prefetch degree must be "
@@ -79,7 +82,7 @@ UvmBackend::paged(const Handle &handle, std::uint64_t bytes,
                                           cfg.pageBytes, pages, {},
                                           earliest);
     }
-    t.complete += wavefronts * cfg.faultLatency;
+    t.complete += wavefronts * faultLatency;
     return t;
 }
 

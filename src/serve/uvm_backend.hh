@@ -27,8 +27,6 @@ struct UvmBackendConfig
 {
     /** Migration granularity (UVM uses up to 2 MiB "big pages"). */
     std::uint64_t pageBytes = std::uint64_t(2) << 20;
-    /** GPU-side fault handling latency per fault wavefront. */
-    aqua::sim::Tick faultLatency = 25 * aqua::sim::nsPerUs;
     /** Pages migrated per fault wavefront (driver prefetching). */
     std::uint32_t prefetchDegree = 8;
     /**
@@ -38,8 +36,6 @@ struct UvmBackendConfig
      * wavefront still applies.
      */
     bool coalescePrefetch = false;
-    /** Staging engine tunables when coalescePrefetch is set. */
-    core::StagingEngineConfig staging;
 };
 
 /**

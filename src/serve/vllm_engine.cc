@@ -8,6 +8,19 @@ namespace aqua::serve {
 
 using namespace aqua::sim;
 
+/** Tokens per KV block (vLLM default). */
+constexpr std::uint32_t blockTokens = 16;
+/** Call backend->respond() every this many iterations. */
+constexpr std::uint32_t respondEveryIters = 4;
+/** Run the storage tier's demotion settle pass every this many
+ *  iterations (no-op unless a SessionTier is attached). */
+constexpr std::uint32_t tierSettleEveryIters = 8;
+/** Housekeeping cadence while idle. */
+constexpr Tick idleTickPeriod = 100 * nsPerMs;
+/** Fraction of post-weights free HBM reserved as the KV pool when
+ *  VllmEngineConfig::kvPoolBytesOverride is 0. */
+constexpr double kvPoolFraction = 0.95;
+
 VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
                        const model::ModelSpec &modelSpec,
                        std::unique_ptr<SchedulerPolicy> schedPolicy,
@@ -45,9 +58,9 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
     if (pool == 0) {
         pool = static_cast<std::uint64_t>(
             static_cast<double>(dev.hbm().freeBytes()) *
-            cfg.kvPoolFraction);
+            kvPoolFraction);
     }
-    kv = std::make_unique<KvCache>(dev, spec, pool, cfg.blockTokens);
+    kv = std::make_unique<KvCache>(dev, spec, pool, blockTokens);
     if (cfg.maxCacheShare < 1.0)
         kv->setMaxCacheShare(cfg.maxCacheShare);
     kv->setEvictionPolicy(cfg.prefixEviction);
@@ -342,7 +355,7 @@ VllmEngine::maybeBeginFederationFetch(Sequence *s)
     // signature must match this request's own tokens.
     TokenFn tok = tokenFnFor(s->request);
     std::uint64_t wantSig = KvCache::contentSig(
-        tok, 0, fl.chain.blocks * cfg.blockTokens);
+        tok, 0, fl.chain.blocks * blockTokens);
     if (wantSig != fl.chain.chainSig) {
         ++prefixStats.clusterSigMismatches;
         return;
@@ -521,7 +534,7 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
     std::uint64_t kvTok = s->kvTokens();
     std::size_t fullBlocks = std::min<std::size_t>(
         s->blocks.size(),
-        static_cast<std::size_t>(kvTok / cfg.blockTokens));
+        static_cast<std::size_t>(kvTok / blockTokens));
 
     // Register the shareable boundaries and derive how much of the
     // chain to retain locally: a boundary homed elsewhere (Replica)
@@ -534,7 +547,7 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
     std::uint64_t prevTokens = 0;
     for (std::size_t b : chainBoundaries(s, fullBlocks, atFinish)) {
         PrefixIndex::ChainKeys ck = kv->prefixChainKeysAt(tok, b);
-        std::uint64_t tokens = std::uint64_t(b) * cfg.blockTokens;
+        std::uint64_t tokens = std::uint64_t(b) * blockTokens;
         Role role;
         if (homeChains.count(ck.key) != 0) {
             role = Role::Home;
@@ -582,8 +595,8 @@ VllmEngine::chainBoundaries(const Sequence *s, std::size_t maxBlocks,
     std::vector<std::size_t> out;
     const workload::Request &r = s->request;
     std::size_t preamble =
-        r.prefixTokens >= cfg.blockTokens
-            ? std::min<std::size_t>(r.prefixTokens / cfg.blockTokens,
+        r.prefixTokens >= blockTokens
+            ? std::min<std::size_t>(r.prefixTokens / blockTokens,
                                     maxBlocks)
             : 0;
     if (preamble > 0)
@@ -603,7 +616,7 @@ VllmEngine::prefixCandidates(const Sequence *s,
     std::vector<core::AquaLib::PrefixCandidate> cands;
     std::uint64_t match = s->kvTokens() > 0 ? s->kvTokens() - 1 : 0;
     std::size_t wantFull =
-        static_cast<std::size_t>(match / cfg.blockTokens);
+        static_cast<std::size_t>(match / blockTokens);
     if (wantFull <= localFull)
         return cands;
 
@@ -623,8 +636,8 @@ VllmEngine::prefixCandidates(const Sequence *s,
         }
     }
     std::size_t preamble =
-        s->request.prefixTokens >= cfg.blockTokens
-            ? s->request.prefixTokens / cfg.blockTokens
+        s->request.prefixTokens >= blockTokens
+            ? s->request.prefixTokens / blockTokens
             : 0;
     if (preamble > localFull && preamble <= wantFull) {
         bool present = false;
@@ -660,7 +673,7 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
     // Trust nothing across the wire: the registered chain's content
     // signature must match this request's own tokens.
     std::uint64_t wantSig = KvCache::contentSig(
-        tok, 0, rl.blocks * cfg.blockTokens);
+        tok, 0, rl.blocks * blockTokens);
     if (wantSig != rl.chainSig) {
         ++prefixStats.clusterSigMismatches;
         ++prefixStats.registryMisses;
@@ -748,7 +761,7 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
         return;
     }
     std::uint64_t bytes =
-        kv->kvBytes(std::uint64_t(missing) * cfg.blockTokens);
+        kv->kvBytes(std::uint64_t(missing) * blockTokens);
     hw::TransferTiming t =
         clusterLib->readPeerPrefix(pinr.home, bytes, missing, now);
     // Verify the streamed copy's signatures before admitting it. A
@@ -777,13 +790,13 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
         transfersDone = t.complete;
     for (std::size_t i = 0; i < fresh->size(); ++i) {
         std::uint64_t first =
-            std::uint64_t(localFull + i) * cfg.blockTokens;
+            std::uint64_t(localFull + i) * blockTokens;
         kv->setBlockSig((*fresh)[i], KvCache::contentSig(
-                                         tok, first, cfg.blockTokens));
+                                         tok, first, blockTokens));
         kv->setBlockOrigin((*fresh)[i], BlockOrigin::RemotePeer);
     }
     acq.blocks.insert(acq.blocks.end(), fresh->begin(), fresh->end());
-    acq.tokens = std::uint64_t(rl.blocks) * cfg.blockTokens;
+    acq.tokens = std::uint64_t(rl.blocks) * blockTokens;
     prefixStats.remoteHitBlocks += missing;
     prefixStats.remoteCopyBytes += bytes;
     ++prefixStats.copyAdmissions;
@@ -888,7 +901,7 @@ VllmEngine::countPrefixHit(const Sequence *s,
     for (std::size_t i = 0;
          i < acq.blocks.size() && covered < acq.tokens; ++i) {
         std::uint64_t tk = std::min<std::uint64_t>(
-            cfg.blockTokens, acq.tokens - covered);
+            blockTokens, acq.tokens - covered);
         switch (kv->blockOrigin(acq.blocks[i])) {
           case BlockOrigin::Local:
             local += tk;
@@ -935,7 +948,7 @@ VllmEngine::sharedLeadBlocks(const Sequence *s) const
     // peer sequence) also references: exactly the blocks whose
     // contents are recoverable from a shared-group backend copy.
     std::size_t maxFull =
-        static_cast<std::size_t>(s->kvTokens() / cfg.blockTokens);
+        static_cast<std::size_t>(s->kvTokens() / blockTokens);
     std::size_t lead = 0;
     while (lead < s->blocks.size() && lead < maxFull &&
            kv->blockRefCount(s->blocks[lead]) > 1)
@@ -1015,7 +1028,7 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
             std::uint64_t key = kv->prefixChainKey(
                 tokenFnFor(s->request), lead);
             groupBytes =
-                kv->kvBytes(std::uint64_t(lead) * cfg.blockTokens);
+                kv->kvBytes(std::uint64_t(lead) * blockTokens);
             auto [it, fresh] = sharedGroups.try_emplace(key);
             if (fresh) {
                 auto gh = backend.alloc(groupBytes);
@@ -1124,7 +1137,7 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
     if (cfg.prefixCache && s->swapSharedBlocks > 0) {
         KvCache::PrefixAcquire acq = kv->acquirePrefix(
             tokenFnFor(s->request),
-            std::uint64_t(s->swapSharedBlocks) * cfg.blockTokens,
+            std::uint64_t(s->swapSharedBlocks) * blockTokens,
             server.simulation().now());
         resident = std::move(acq.blocks);
     }
@@ -1148,7 +1161,7 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
                   static_cast<unsigned long long>(s->request.id));
         }
         std::uint64_t sharedBytes =
-            kv->kvBytes(std::uint64_t(missingShared) * cfg.blockTokens);
+            kv->kvBytes(std::uint64_t(missingShared) * blockTokens);
         hw::TransferTiming t = backend.read(it->second.handle,
                                             sharedBytes, missingShared);
         if (t.complete > transfersDone)
@@ -1156,7 +1169,7 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
         nReadBytes += sharedBytes;
     }
     prefixStats.residentReuseBytes +=
-        kv->kvBytes(std::uint64_t(resident.size()) * cfg.blockTokens);
+        kv->kvBytes(std::uint64_t(resident.size()) * blockTokens);
     if (s->swapHandle.valid()) {
         // The private tail comes back from whichever backend the
         // swap-out targeted (the fallback when the circuit breaker
@@ -1406,7 +1419,7 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
             if (covered >= fedApplied)
                 break;
             kv->setBlockOrigin(id, BlockOrigin::RemoteServer);
-            covered += cfg.blockTokens;
+            covered += blockTokens;
         }
         prefixStats.cachedTokens += fedApplied;
         prefixStats.hitTokensRemoteServer += fedApplied;
@@ -1555,7 +1568,7 @@ VllmEngine::updateBrownout(Tick now)
         Tick lastEvac = backend.lastEvacuationAt();
         bool recentEvac =
             lastEvac != 0 &&
-            now < lastEvac + brownout->config().evacPressureWindow;
+            now < lastEvac + overload::evacPressureWindow;
         sig.reclaimPressure = reclaiming || recentEvac;
         sig.linkHealth = server.topology().peerLink().degradation();
         brownout->update(sig);
@@ -1652,13 +1665,13 @@ VllmEngine::step()
         itersSinceInform = 0;
         doInform();
     }
-    if (++itersSinceRespond >= cfg.respondEveryIters) {
+    if (++itersSinceRespond >= respondEveryIters) {
         itersSinceRespond = 0;
         Tick blocked = backend.respond();
         if (blocked > transfersDone)
             transfersDone = blocked;
     }
-    if (sessionTier && ++itersSinceSettle >= cfg.tierSettleEveryIters) {
+    if (sessionTier && ++itersSinceSettle >= tierSettleEveryIters) {
         itersSinceSettle = 0;
         settleTier(now);
     }
@@ -1876,7 +1889,7 @@ VllmEngine::step()
     } else if (have_work || aqua_duties) {
         // Stalled (e.g. reclaim in progress) or idle with
         // housekeeping duties: poll at the idle cadence.
-        scheduleStep(now + cfg.idleTickPeriod);
+        scheduleStep(now + idleTickPeriod);
     }
     // Otherwise: fully idle; the next submit() wakes the engine.
 }

@@ -61,8 +61,6 @@ struct VllmEngineConfig
 {
     /** Max sequences decoded per iteration. */
     std::uint32_t maxBatch = 48;
-    /** Tokens per KV block (vLLM default). */
-    std::uint32_t blockTokens = 16;
     /** Admission slack beyond the prompt, in tokens. */
     std::uint32_t slackTokens = 32;
     /**
@@ -74,18 +72,10 @@ struct VllmEngineConfig
     std::uint32_t maxPrefillTokensPerIter = 0;
     /** CFS slice length in generated tokens (Fig. 6 uses 5). */
     std::uint32_t cfsSliceTokens = 5;
-    /** Call backend->respond() every this many iterations. */
-    std::uint32_t respondEveryIters = 4;
-    /** Run the storage tier's demotion settle pass every this many
-     *  iterations (no-op unless a SessionTier is attached). */
-    std::uint32_t tierSettleEveryIters = 8;
     /** Call AQUA-LIB informStats() every this many iterations. */
     std::uint32_t informEveryIters = 8;
-    /** Housekeeping cadence while idle. */
-    aqua::sim::Tick idleTickPeriod = 100 * aqua::sim::nsPerMs;
-    /** Fraction of post-weights free HBM reserved as the KV pool. */
-    double kvPoolFraction = 0.95;
-    /** Explicit KV pool size; overrides the fraction when nonzero. */
+    /** Explicit KV pool size; 0 reserves a fixed fraction (95%) of
+     *  the HBM left free after the weights. */
     std::uint64_t kvPoolBytesOverride = 0;
     /** LoRA cache configuration; nullopt disables adapter support. */
     std::optional<LoraCacheConfig> lora;
@@ -110,30 +100,12 @@ struct VllmEngineConfig
     /** Prefix-cache eviction victim ordering (Lru or CostAware). */
     EvictionPolicy prefixEviction = EvictionPolicy::Lru;
     /**
-     * Cluster prefix registry: publish resident shared-prefix chains
-     * to the coordinator, and on a local miss look up a remote home
-     * copy and stream (or borrow) it over NVLink instead of
-     * re-prefilling. Requires attachClusterPrefix() and
-     * cfg.prefixCache. Off by default.
-     */
-    bool clusterPrefix = false;
-    /**
      * Longest remote chain (in blocks) a consumer serves in place
      * from the home GPU instead of streaming a local copy. Borrowed
      * leads charge every decode step a peer read of the lead's KV,
      * so only short chains are worth borrowing.
      */
     std::uint32_t clusterBorrowMaxBlocks = 4;
-    /**
-     * Cross-server prefix federation: on a scale-up-domain miss,
-     * consult the coordinator's federation directory for a chain
-     * homed on another server and stream it over the inter-server
-     * fabric when the cost model says that beats re-prefilling
-     * locally. The lookup order is local registry, then federation
-     * directory, then recompute. Requires attachFederation() and the
-     * cluster prefix path (cfg.clusterPrefix). Off by default.
-     */
-    bool federation = false;
     /**
      * Safety factor the federation cost model applies to the streamed
      * side of the crossover; > 1 biases toward recompute when the
@@ -199,7 +171,7 @@ struct PrefixCacheEngineStats
     std::uint64_t sigMismatches = 0;
 
     //
-    // Cluster registry path (zero unless cfg.clusterPrefix).
+    // Cluster registry path (zero unless attachClusterPrefix()).
     //
 
     /** Registry lookups that yielded a usable remote home chain. */
@@ -229,7 +201,7 @@ struct PrefixCacheEngineStats
     std::uint64_t hitTokensRemoteServer = 0;
 
     //
-    // Cross-server federation path (zero unless cfg.federation).
+    // Cross-server federation path (zero unless attachFederation()).
     //
 
     /** Directory lookups that found a live remote-server advert. */
@@ -301,22 +273,28 @@ class VllmEngine
 
     /**
      * Attach the cluster prefix registry plus the AquaLib carrying
-     * this engine's southbound REST access. Registers this GPU's
-     * RegistryAgent (pin/promote callbacks) and enables the remote
-     * prefix-read admission path when cfg.clusterPrefix is set. Both
-     * non-owning; must outlive the engine.
+     * this engine's southbound REST access, turning the cluster
+     * prefix path on: publish resident shared-prefix chains to the
+     * coordinator, and on a local miss look up a remote home copy and
+     * stream (or borrow) it over NVLink instead of re-prefilling.
+     * Registers this GPU's RegistryAgent (pin/promote callbacks).
+     * Needs cfg.prefixCache. Both non-owning; must outlive the engine.
      */
     void attachClusterPrefix(cluster::PrefixRegistry *registry,
                              core::AquaLib *lib);
 
     /**
-     * Attach the inter-server fabric for cross-server prefix
-     * federation: @p fabric carries the KV streams, @p serverIndex is
-     * this engine's server on it, and @p lib carries the southbound
+     * Attach the inter-server fabric, turning cross-server prefix
+     * federation on: on a scale-up-domain miss, consult the
+     * coordinator's federation directory for a chain homed on another
+     * server and stream it over the fabric when the cost model says
+     * that beats re-prefilling locally. The lookup order is local
+     * registry, then federation directory, then recompute.
+     * @p fabric carries the KV streams, @p serverIndex is this
+     * engine's server on it, and @p lib carries the southbound
      * /federation REST access (normally the same AquaLib as the
-     * cluster path). Enables the federation admission path when
-     * cfg.federation is set; requires attachClusterPrefix(). All
-     * non-owning; must outlive the engine.
+     * cluster path). Requires attachClusterPrefix(). All non-owning;
+     * must outlive the engine.
      */
     void attachFederation(hw::Fabric *fabric,
                           std::uint32_t serverIndex,
@@ -548,8 +526,8 @@ class VllmEngine
     void releaseSwapGroup(Sequence *s);
 
     //
-    // Cluster prefix registry (active only with cfg.clusterPrefix
-    // and attachClusterPrefix()).
+    // Cluster prefix registry (active only after
+    // attachClusterPrefix()).
     //
 
     /** A chain this engine published to the registry. */
@@ -569,7 +547,7 @@ class VllmEngine
     bool
     clusterEnabled() const
     {
-        return cfg.clusterPrefix && clusterReg && clusterLib;
+        return clusterReg && clusterLib;
     }
 
     /** Shareable chain boundaries (in full blocks, ascending) of a
@@ -592,15 +570,14 @@ class VllmEngine
                          aqua::sim::Tick &transfersDone);
 
     //
-    // Cross-server federation (active only with cfg.federation and
-    // attachFederation()).
+    // Cross-server federation (active only after attachFederation()
+    // and attachClusterPrefix()).
     //
 
     bool
     fedEnabled() const
     {
-        return cfg.federation && fedFabric && fedLib &&
-               clusterEnabled();
+        return fedFabric && fedLib && clusterEnabled();
     }
 
     /** Try to start a cross-server prefix stream for a fresh arrival

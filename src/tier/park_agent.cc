@@ -8,9 +8,7 @@ using namespace aqua::sim;
 
 ParkAgent::ParkAgent(hw::Server &server, hw::GpuId gpu,
                      ParkAgentConfig config)
-    : server(server), cfg(config),
-      store(server, gpu, config.backend),
-      pipe(server, gpu, config.prefetch),
+    : server(server), store(server, gpu), pipe(server, gpu),
       mgr(server.ssd(), config.tier)
 {
 }
@@ -39,7 +37,7 @@ ParkAgent::park(std::uint64_t sessionKey, std::uint64_t bytes,
     // Bulk sequential dump, window-sized accesses: parking rides the
     // fast end of the drive's sequential-vs-random ramp.
     std::uint64_t nChunks =
-        std::max<std::uint64_t>(1, bytes / cfg.prefetch.windowBytes);
+        std::max<std::uint64_t>(1, bytes / prefetchWindowBytes);
     store.write(*handle, bytes, nChunks, now);
     sessions[sessionKey] = Parked{*handle, tokens, 0};
     mgr.registerItem(parkKey(sessionKey), bytes, now);

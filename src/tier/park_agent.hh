@@ -23,12 +23,11 @@
 
 namespace aqua::tier {
 
-/** ParkAgent tunables: one knob block per owned component. */
+/** ParkAgent tunables: the tier policy's knobs (the SSD backend and
+ *  prefetch pipeline run with their defaults). */
 struct ParkAgentConfig
 {
     TierConfig tier;
-    PrefetchConfig prefetch;
-    SsdBackendConfig backend;
 };
 
 /**
@@ -104,7 +103,6 @@ class ParkAgent : public serve::SessionTier
     void dropParked(std::uint64_t sessionKey);
 
     hw::Server &server;
-    ParkAgentConfig cfg;
     SsdBackend store;
     PrefetchPipeline pipe;
     TierManager mgr;

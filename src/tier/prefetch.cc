@@ -12,9 +12,8 @@ PrefetchPipeline::PrefetchPipeline(hw::Server &server, hw::GpuId gpu,
                                    PrefetchConfig config)
     : server(server), gpu(gpu), cfg(config)
 {
-    if (cfg.windowBytes == 0 || cfg.buffers == 0)
-        panic("PrefetchPipeline: window size and buffer count must be "
-              "positive");
+    if (cfg.buffers == 0)
+        panic("PrefetchPipeline: buffer count must be positive");
     bufFree.assign(cfg.buffers, 0);
 }
 
@@ -70,7 +69,7 @@ PrefetchPipeline::issueWindow(StreamId id)
         return;
     }
 
-    std::uint64_t w = std::min<std::uint64_t>(cfg.windowBytes,
+    std::uint64_t w = std::min<std::uint64_t>(prefetchWindowBytes,
                                               s.remaining);
     std::uint32_t slot = s.nextSlot++ % cfg.buffers;
     Tick base = server.simulation().now();
@@ -137,7 +136,7 @@ PrefetchPipeline::finishStream(StreamId id, bool cancelled)
         ++counters.streamsCancelled;
         counters.bytesWasted += s.delivered;
         counters.windowsCancelled +=
-            (s.remaining + cfg.windowBytes - 1) / cfg.windowBytes;
+            (s.remaining + prefetchWindowBytes - 1) / prefetchWindowBytes;
     } else {
         ++counters.streamsCompleted;
         counters.bytesStreamed += s.delivered;
@@ -153,12 +152,12 @@ PrefetchPipeline::estimate(std::uint64_t bytes) const
 {
     if (bytes == 0)
         return 0;
-    std::uint64_t n = (bytes + cfg.windowBytes - 1) / cfg.windowBytes;
-    std::uint64_t last = bytes - (n - 1) * cfg.windowBytes;
+    std::uint64_t n = (bytes + prefetchWindowBytes - 1) / prefetchWindowBytes;
+    std::uint64_t last = bytes - (n - 1) * prefetchWindowBytes;
 
     const hw::Ssd &ssd = server.ssd();
-    Tick mFull = ssd.readDuration(cfg.windowBytes, 1);
-    Tick pFull = server.topology().hostTransferDuration(cfg.windowBytes);
+    Tick mFull = ssd.readDuration(prefetchWindowBytes, 1);
+    Tick pFull = server.topology().hostTransferDuration(prefetchWindowBytes);
     Tick mLast = ssd.readDuration(last, 1);
     Tick pLast = server.topology().hostTransferDuration(last);
     Tick mTot = (n - 1) * mFull + mLast;

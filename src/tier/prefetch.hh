@@ -31,11 +31,13 @@
 
 namespace aqua::tier {
 
+/** Sliding-window transfer size of the prefetch pipeline. */
+inline constexpr std::uint64_t prefetchWindowBytes = std::uint64_t(32)
+                                                     << 20;
+
 /** Prefetch pipeline tunables. */
 struct PrefetchConfig
 {
-    /** Sliding-window transfer size. */
-    std::uint64_t windowBytes = std::uint64_t(32) << 20;
     /**
      * DRAM bounce buffers. Two gives double buffering (media read
      * N+1 overlaps PCIe drain N); one serializes the stages.

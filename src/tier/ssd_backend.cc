@@ -9,7 +9,7 @@ using namespace aqua::sim;
 SsdBackend::SsdBackend(hw::Server &server, hw::GpuId gpu,
                        SsdBackendConfig config)
     : server(server), gpu(gpu), cfg(config),
-      engine(server, gpu, config.staging)
+      engine(server, gpu)
 {
 }
 

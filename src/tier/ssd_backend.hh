@@ -39,8 +39,6 @@ struct SsdBackendConfig
      * though the DRAM baseline ships unstaged.
      */
     bool useStaging = true;
-    /** Staging engine tunables when useStaging is set. */
-    core::StagingEngineConfig staging;
 };
 
 /**

@@ -9,6 +9,10 @@ namespace aqua::tier {
 
 using namespace aqua::sim;
 
+/** Heat discount: each touch since registration divides effective age
+ *  by (1 + heatWeight * touches), so hot items age slowly. */
+constexpr double heatWeight = 4.0;
+
 TierManager::TierManager(hw::Ssd &ssd, TierConfig config)
     : ssd(ssd), cfg(config)
 {
@@ -71,7 +75,7 @@ double
 TierManager::effectiveAgeSec(const Item &item, Tick now) const
 {
     Tick age = now > item.lastTouch ? now - item.lastTouch : 0;
-    return ticksToSec(age) / (1.0 + cfg.heatWeight * item.touches);
+    return ticksToSec(age) / (1.0 + heatWeight * item.touches);
 }
 
 std::vector<std::uint64_t>

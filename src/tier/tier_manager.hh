@@ -40,11 +40,6 @@ struct TierConfig
      * the rung has somewhere real to demote into.
      */
     double pressureParkAfterSec = 2.0;
-    /**
-     * Heat discount: each touch since registration divides effective
-     * age by (1 + heatWeight * touches), so hot items age slowly.
-     */
-    double heatWeight = 4.0;
     /** Demotion budget per settle pass (bounds media churn). */
     std::size_t maxDemotionsPerSettle = 4;
     /**

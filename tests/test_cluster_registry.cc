@@ -403,7 +403,6 @@ TEST(ClusterRegistryEngine, ConsumerStreamsRemoteHomeCopy)
     PrefixRegistry &reg = tb.makePrefixRegistry();
     serve::VllmEngineConfig cfg;
     cfg.prefixCache = true;
-    cfg.clusterPrefix = true;
 
     auto &backend0 = tb.makeDramBackend(0);
     serve::VllmEngine e0(tb.server(), 0, model::codellama34b(),
@@ -447,7 +446,6 @@ TEST(ClusterRegistryEngine, ShortChainIsBorrowedInPlace)
     PrefixRegistry &reg = tb.makePrefixRegistry();
     serve::VllmEngineConfig cfg;
     cfg.prefixCache = true;
-    cfg.clusterPrefix = true;
     cfg.clusterBorrowMaxBlocks = 64; // whole preamble fits the cap
 
     auto &backend0 = tb.makeDramBackend(0);
@@ -485,7 +483,6 @@ TEST(ClusterRegistryEngine, EngineTeardownLeavesNoRegistryState)
     PrefixRegistry &reg = tb.makePrefixRegistry();
     serve::VllmEngineConfig cfg;
     cfg.prefixCache = true;
-    cfg.clusterPrefix = true;
 
     auto &backend = tb.makeDramBackend(0);
     auto e0 = std::make_unique<serve::VllmEngine>(

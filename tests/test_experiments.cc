@@ -10,7 +10,9 @@
 #include <map>
 
 #include "bench/bench_util.hh"
+#include "exp/cluster_sim.hh"
 #include "exp/experiments.hh"
+#include "fault/fault.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -293,4 +295,200 @@ TEST(Integration, BurstyTraceAlternatesPhases)
     ASSERT_GT(quietPhases, 0);
     ASSERT_GT(burstPhases, 0);
     EXPECT_GT(burst / burstPhases, 5.0 * (quiet / quietPhases));
+}
+
+//
+// Golden outputs: small runs of the experiment runners whose default
+// constants must never drift. Each digest covers every request's
+// (id, firstToken, finish, tokensGenerated, shed); the counters next
+// to it pin the mechanism that produced them. A change that is meant
+// to alter simulated behaviour must update these values on purpose.
+//
+
+namespace {
+
+std::uint64_t
+fnv(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+outputDigest(const std::vector<workload::RequestMetrics> &metrics)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const workload::RequestMetrics &m : metrics) {
+        h = fnv(h, m.id);
+        h = fnv(h, m.firstToken);
+        h = fnv(h, m.finish);
+        h = fnv(h, m.tokensGenerated);
+        h = fnv(h, m.shed ? 1 : 0);
+    }
+    return h;
+}
+
+std::uint64_t
+textDigest(const std::string &text)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+} // anonymous namespace
+
+TEST(GoldenOutputs, ChaosPlan)
+{
+    fault::ChaosConfig cfg;
+    cfg.horizon = sim::secToTicks(10.0);
+    cfg.donorGpus = {1};
+    cfg.gpuFailures = 1;
+    cfg.linkDegrades = 2;
+    cfg.outages = 1;
+    cfg.dropWindows = 1;
+    cfg.delayWindows = 1;
+    cfg.crashes = 1;
+    cfg.crashLoseTail = 2;
+    cfg.corruptWindows = 1;
+    cfg.bitrotWindows = 1;
+    fault::FaultPlan plan = fault::FaultPlan::random(7, cfg);
+    EXPECT_EQ(plan.size(), 9u);
+    EXPECT_EQ(textDigest(plan.toJson().dump()), 9796806909889821910ULL);
+}
+
+TEST(GoldenOutputs, Overload)
+{
+    fault::ChaosConfig chaos;
+    chaos.horizon = sim::secToTicks(30.0);
+    chaos.donorGpus = {1};
+    chaos.linkDegrades = 2;
+    chaos.delayWindows = 1;
+    fault::FaultPlan plan = fault::FaultPlan::random(3, chaos);
+
+    OverloadRunConfig cfg;
+    cfg.controlled = true;
+    cfg.precisionGovernor = true;
+    cfg.loadMultiplier = 6.0;
+    cfg.numRequests = 80;
+    cfg.maxBatch = 32;
+    cfg.kvPoolBytes = 2ull * 1000 * 1000 * 1000;
+    cfg.faults = &plan;
+    OverloadRunResult r = runOverload(cfg);
+    EXPECT_EQ(r.metrics.size(), 80u);
+    EXPECT_EQ(outputDigest(r.metrics), 12287360565967595782ULL);
+    EXPECT_EQ(r.shed, 6u);
+    EXPECT_EQ(r.fallbackSwaps, 0u);
+    EXPECT_EQ(r.deadlineMet, 74u);
+    EXPECT_EQ(r.brownoutTransitions, 2u);
+    EXPECT_EQ(r.precisionReconfigs, 10u);
+    EXPECT_EQ(r.precisionSavedBytes, 217055232u);
+    EXPECT_EQ(r.unfinished, 0u);
+    EXPECT_EQ(r.sigMismatches, 0u);
+}
+
+TEST(GoldenOutputs, Tiering)
+{
+    TieringRunConfig cfg;
+    cfg.users = 6;
+    cfg.turns = 2;
+    TieringRunResult r = runTiering(cfg);
+    EXPECT_EQ(r.metrics.size(), 12u);
+    EXPECT_EQ(outputDigest(r.metrics), 8913738521875463099ULL);
+    EXPECT_EQ(r.parks, 12u);
+    EXPECT_EQ(r.streamResumes, 6u);
+    EXPECT_EQ(r.recomputeResumes, 0u);
+    EXPECT_EQ(r.bytesStreamed, 915013632u);
+    EXPECT_EQ(r.bytesWasted, 0u);
+    EXPECT_EQ(r.ssdBytesRead, 915013632u);
+    EXPECT_EQ(r.ssdBytesWritten, 2783182848u);
+    EXPECT_EQ(r.unfinished, 0u);
+}
+
+TEST(GoldenOutputs, ClusterPrefix)
+{
+    ClusterPrefixConfig cfg;
+    cfg.consumers = 3;
+    cfg.numRequests = 30;
+    cfg.chaos = true;
+    ClusterPrefixResult r = runClusterPrefix(cfg);
+    EXPECT_EQ(r.metrics.size(), 30u);
+    EXPECT_EQ(outputDigest(r.metrics), 11769646150137680505ULL);
+    EXPECT_EQ(r.cachedTokens, 22272u);
+    EXPECT_EQ(r.registryHits, 20u);
+    EXPECT_EQ(r.borrowAdmissions, 0u);
+    EXPECT_EQ(r.copyAdmissions, 20u);
+    EXPECT_EQ(r.remoteCopyBytes, 3019898880u);
+    EXPECT_EQ(r.regPublishes, 20u);
+    EXPECT_EQ(r.regInvalidations, 1u);
+    EXPECT_EQ(r.residentPrefixBytes, 150994944u);
+    EXPECT_EQ(r.unfinished, 0u);
+    EXPECT_EQ(r.activePins, 0u);
+    EXPECT_EQ(r.sigMismatches + r.clusterSigMismatches, 0u);
+}
+
+TEST(GoldenOutputs, Federation)
+{
+    FederationRunConfig cfg;
+    cfg.numRequests = 18;
+    cfg.chaos = true;
+    FederationRunResult r = runFederation(cfg);
+    EXPECT_EQ(r.metrics.size(), 18u);
+    EXPECT_EQ(outputDigest(r.metrics), 7243658004281800875ULL);
+    EXPECT_EQ(r.outputDigest, 13611547664758535020ULL);
+    EXPECT_EQ(r.cachedTokens, 13056u);
+    EXPECT_EQ(r.fedHits, 2u);
+    EXPECT_EQ(r.fedStreamDecisions, 2u);
+    EXPECT_EQ(r.fedRecomputeDecisions, 0u);
+    EXPECT_EQ(r.fedStreamBytes, 301989888u);
+    EXPECT_EQ(r.dirAdvertsApplied, 8u);
+    EXPECT_EQ(r.dirAntiEntropyRounds, 3000u);
+    EXPECT_EQ(r.fabricBytesMoved, 301989888u);
+    EXPECT_EQ(r.fabricQueueTicks, 0u);
+    EXPECT_EQ(r.unfinished, 0u);
+}
+
+TEST(GoldenOutputs, PrefixAblation)
+{
+    PrefixAblationConfig cfg;
+    cfg.numRequests = 120;
+    cfg.ratePerSec = 12.0;
+    cfg.maxCacheShare = 0.1;
+    cfg.eviction = serve::EvictionPolicy::CostAware;
+    PrefixAblationResult r = runPrefixAblation(cfg);
+    EXPECT_EQ(r.metrics.size(), 120u);
+    EXPECT_EQ(outputDigest(r.metrics), 14925754126232160115ULL);
+    EXPECT_EQ(r.prefix.hits, 155510u);
+    EXPECT_EQ(r.prefix.cachedTokens, 89088u);
+    EXPECT_EQ(r.prefix.evictions, 37961u);
+    EXPECT_EQ(r.peakLiveKvBytes, 4388290560u);
+    EXPECT_EQ(r.offloadWriteBytes, 588484706304u);
+    EXPECT_EQ(r.swapOuts, 3033u);
+    EXPECT_EQ(r.prefix.sigMismatches, 0u);
+}
+
+TEST(GoldenOutputs, ClusterSim)
+{
+    ClusterSimConfig cfg;
+    cfg.numDomains = 2;
+    cfg.gpusPerDomain = 4;
+    cfg.numRequests = 1500;
+    cfg.arrivalRatePerDomain = 4000.0;
+    cfg.prefixPool = 16;
+    cfg.placementEvents = 3;
+    cfg.churnIntervalSec = 0.05;
+    ClusterRunResult r = runClusterSequential(cfg);
+    std::uint64_t h = 14695981039346656037ULL;
+    for (std::uint64_t d : r.digests)
+        h = fnv(h, d);
+    EXPECT_EQ(h, 4177466274098763074ULL);
+    EXPECT_EQ(textDigest(json::Value(r.stats).dump()), 1957922814840636505ULL);
+    EXPECT_EQ(r.eventsFired, 5014u);
+    EXPECT_EQ(r.crossMessages, 2011u);
 }

@@ -89,7 +89,7 @@ struct DirectoryPair
     void
     settle()
     {
-        sim.runUntil(sim.now() + d0->config().gossipDelay * 2);
+        sim.runUntil(sim.now() + gossipDelay * 2);
     }
 };
 
@@ -270,7 +270,7 @@ TEST(Directory, AntiEntropyRepairsAMissedAdvert)
     bindFederationRoutes(router0, d0);
     bindFederationRoutes(router1, d1);
     ASSERT_TRUE(pub(reg0, 0, 0xa1, 0xb1));
-    sim.runUntil(sim.now() + c0.gossipDelay * 2);
+    sim.runUntil(sim.now() + gossipDelay * 2);
 
     // Late peering: the periodic full-table resend repairs the view.
     d0.addPeer(1, router1);
@@ -495,8 +495,6 @@ TEST(FederationEngine, HomeEvictionMidStreamFallsBackToRecompute)
         serve::DramBackend &backend = tb.makeDramBackend(0);
         serve::VllmEngineConfig ec;
         ec.prefixCache = true;
-        ec.clusterPrefix = true;
-        ec.federation = true;
         engines.push_back(std::make_unique<serve::VllmEngine>(
             tb.server(), 0, spec,
             std::make_unique<serve::CfsPolicy>(), backend, ec));

@@ -164,13 +164,12 @@ TEST(Brownout, FullPoolAloneIsNotOverload)
 TEST(Brownout, QueuePressureEscalatesImmediately)
 {
     BrownoutController ctl;
-    BrownoutConfig cfg = ctl.config();
-    EXPECT_EQ(ctl.update(signals(1.0, cfg.queueHigh, 0.0)),
+    EXPECT_EQ(ctl.update(signals(1.0, queueHigh, 0.0)),
               BrownoutLevel::ShedBestEffort);
     // Delay alone (queue shallow but the oldest waiter is stale)
     // counts as queue pressure too.
     BrownoutController byDelay;
-    EXPECT_EQ(byDelay.update(signals(1.0, 0, cfg.delayHighSec)),
+    EXPECT_EQ(byDelay.update(signals(1.0, 0, delayHighSec)),
               BrownoutLevel::ShedBestEffort);
 }
 
@@ -178,14 +177,14 @@ TEST(Brownout, MemoryAndPathPressureDeepenAnActiveBrownout)
 {
     BrownoutConfig cfg;
     BrownoutController mem(cfg);
-    EXPECT_EQ(mem.update(signals(1.0, cfg.queueHigh, 0.0, 0.05)),
+    EXPECT_EQ(mem.update(signals(1.0, queueHigh, 0.0, 0.05)),
               BrownoutLevel::NoCachePublish);
     BrownoutController path(cfg);
     EXPECT_EQ(path.update(
-                  signals(1.0, cfg.queueHigh, 0.0, 1.0, true)),
+                  signals(1.0, queueHigh, 0.0, 1.0, true)),
               BrownoutLevel::ForceDramOffload);
     BrownoutController link(cfg);
-    EXPECT_EQ(link.update(signals(1.0, cfg.queueHigh, 0.0, 1.0,
+    EXPECT_EQ(link.update(signals(1.0, queueHigh, 0.0, 1.0,
                                   false, 0.5)),
               BrownoutLevel::ForceDramOffload);
 }
@@ -195,21 +194,21 @@ TEST(Brownout, RejectNewNeedsCompoundPressure)
     BrownoutConfig cfg;
     // Deep queue alone: not enough.
     BrownoutController deep(cfg);
-    EXPECT_LT(deep.update(signals(1.0, 2 * cfg.queueHigh, 0.0)),
+    EXPECT_LT(deep.update(signals(1.0, 2 * queueHigh, 0.0)),
               BrownoutLevel::RejectNew);
     // Deep queue + memory pressure: reject.
     BrownoutController a(cfg);
-    EXPECT_EQ(a.update(signals(1.0, 2 * cfg.queueHigh, 0.0, 0.05)),
+    EXPECT_EQ(a.update(signals(1.0, 2 * queueHigh, 0.0, 0.05)),
               BrownoutLevel::RejectNew);
     // Deep *stale* queue (2x the delay high-water) without memory
     // pressure: reject.
     BrownoutController b(cfg);
-    EXPECT_EQ(b.update(signals(1.0, 2 * cfg.queueHigh,
-                               2 * cfg.delayHighSec)),
+    EXPECT_EQ(b.update(signals(1.0, 2 * queueHigh,
+                               2 * delayHighSec)),
               BrownoutLevel::RejectNew);
     // Memory + path pressure under ordinary queue pressure: reject.
     BrownoutController c(cfg);
-    EXPECT_EQ(c.update(signals(1.0, cfg.queueHigh, 0.0, 0.05, true)),
+    EXPECT_EQ(c.update(signals(1.0, queueHigh, 0.0, 0.05, true)),
               BrownoutLevel::RejectNew);
 }
 
@@ -218,7 +217,7 @@ TEST(Brownout, StepsDownOneRungAfterDwell)
     BrownoutConfig cfg;
     cfg.minDwell = msToTicks(100.0);
     BrownoutController ctl(cfg);
-    ctl.update(signals(1.0, 2 * cfg.queueHigh, 0.0, 0.05)); // Reject
+    ctl.update(signals(1.0, 2 * queueHigh, 0.0, 0.05)); // Reject
     ASSERT_EQ(ctl.level(), BrownoutLevel::RejectNew);
 
     // Calm signals inside the dwell: no change.
@@ -246,11 +245,11 @@ TEST(Brownout, NoStepDownAboveLowWaterMarks)
     BrownoutConfig cfg;
     cfg.minDwell = msToTicks(100.0);
     BrownoutController ctl(cfg);
-    ctl.update(signals(1.0, cfg.queueHigh, 0.0));
+    ctl.update(signals(1.0, queueHigh, 0.0));
     ASSERT_EQ(ctl.level(), BrownoutLevel::ShedBestEffort);
-    EXPECT_EQ(ctl.update(signals(2.0, cfg.queueLow + 1, 0.0)),
+    EXPECT_EQ(ctl.update(signals(2.0, queueLow + 1, 0.0)),
               BrownoutLevel::ShedBestEffort);
-    EXPECT_EQ(ctl.update(signals(3.0, cfg.queueLow, 0.0)),
+    EXPECT_EQ(ctl.update(signals(3.0, queueLow, 0.0)),
               BrownoutLevel::Normal);
 }
 
@@ -262,7 +261,7 @@ TEST(Brownout, BreakerHeldOpenWhilePathPressured)
     BrownoutConfig cfg;
     cfg.minDwell = msToTicks(100.0);
     BrownoutController ctl(cfg);
-    ctl.update(signals(1.0, cfg.queueHigh, 0.0, 1.0, true));
+    ctl.update(signals(1.0, queueHigh, 0.0, 1.0, true));
     ASSERT_EQ(ctl.level(), BrownoutLevel::ForceDramOffload);
     EXPECT_EQ(ctl.update(signals(2.0, 0, 0.0, 1.0, true)),
               BrownoutLevel::ForceDramOffload);
@@ -278,7 +277,7 @@ TEST(Brownout, SliceFactorHalvesPerLevel)
     BrownoutConfig cfg;
     BrownoutController ctl(cfg);
     EXPECT_DOUBLE_EQ(ctl.sliceFactor(), 1.0);
-    ctl.update(signals(1.0, cfg.queueHigh, 0.0, 0.05, true));
+    ctl.update(signals(1.0, queueHigh, 0.0, 0.05, true));
     ASSERT_EQ(ctl.level(), BrownoutLevel::RejectNew);
     EXPECT_DOUBLE_EQ(ctl.sliceFactor(), 0.5 * 0.5 * 0.5 * 0.5);
 }
@@ -288,7 +287,7 @@ TEST(Brownout, TimeAtLevelIncludesOpenInterval)
     BrownoutConfig cfg;
     cfg.minDwell = msToTicks(100.0);
     BrownoutController ctl(cfg);
-    ctl.update(signals(1.0, cfg.queueHigh, 0.0));
+    ctl.update(signals(1.0, queueHigh, 0.0));
     ctl.update(signals(3.0, 0, 0.0)); // back to Normal at t=3
     EXPECT_EQ(ctl.timeAtLevel(BrownoutLevel::ShedBestEffort,
                               secToTicks(10.0)),
@@ -304,7 +303,7 @@ TEST(Brownout, TransitionsAreTraced)
     cfg.minDwell = msToTicks(100.0);
     BrownoutController ctl(cfg);
     ctl.setTraceLog(&log);
-    ctl.update(signals(1.0, cfg.queueHigh, 0.0));
+    ctl.update(signals(1.0, queueHigh, 0.0));
     ctl.update(signals(2.0, 0, 0.0));
     EXPECT_EQ(log.countCategory("brownout_level"), 2u);
 }
