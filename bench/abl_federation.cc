@@ -51,54 +51,48 @@ cellJson(const exp::FederationRunResult &r)
     o["aggregate_hit_rate"] = r.aggregateHitRate;
     o["prompt_tokens"] = static_cast<std::int64_t>(r.promptTokens);
     o["tail_tokens"] = static_cast<std::int64_t>(r.tailTokens);
-    o["cached_tokens"] = static_cast<std::int64_t>(r.cachedTokens);
-    o["hit_tokens_local"] =
-        static_cast<std::int64_t>(r.hitTokensLocal);
-    o["hit_tokens_remote_peer"] =
-        static_cast<std::int64_t>(r.hitTokensRemote);
-    o["hit_tokens_dram"] = static_cast<std::int64_t>(r.hitTokensDram);
-    o["hit_tokens_remote_server"] =
-        static_cast<std::int64_t>(r.hitTokensRemoteServer);
-    o["sig_mismatches"] = static_cast<std::int64_t>(r.sigMismatches);
+    o["cached_tokens"] = static_cast<std::int64_t>(r.engine.cachedTokens);
+    bench::setHitOrigins(o, r.engine);
+    o["sig_mismatches"] = static_cast<std::int64_t>(r.engine.sigMismatches);
     o["cluster_sig_mismatches"] =
-        static_cast<std::int64_t>(r.clusterSigMismatches);
-    o["fed_hits"] = static_cast<std::int64_t>(r.fedHits);
-    o["fed_misses"] = static_cast<std::int64_t>(r.fedMisses);
+        static_cast<std::int64_t>(r.engine.clusterSigMismatches);
+    o["fed_hits"] = static_cast<std::int64_t>(r.engine.fedHits);
+    o["fed_misses"] = static_cast<std::int64_t>(r.engine.fedMisses);
     o["fed_stream_decisions"] =
-        static_cast<std::int64_t>(r.fedStreamDecisions);
+        static_cast<std::int64_t>(r.engine.fedStreamDecisions);
     o["fed_recompute_decisions"] =
-        static_cast<std::int64_t>(r.fedRecomputeDecisions);
+        static_cast<std::int64_t>(r.engine.fedRecomputeDecisions);
     o["fed_fetch_refusals"] =
-        static_cast<std::int64_t>(r.fedFetchRefusals);
+        static_cast<std::int64_t>(r.engine.fedFetchRefusals);
     o["fed_streams_completed"] =
-        static_cast<std::int64_t>(r.fedStreamsCompleted);
+        static_cast<std::int64_t>(r.engine.fedStreamsCompleted);
     o["fed_streams_invalidated"] =
-        static_cast<std::int64_t>(r.fedStreamsInvalidated);
+        static_cast<std::int64_t>(r.engine.fedStreamsInvalidated);
     o["fed_stream_bytes"] =
-        static_cast<std::int64_t>(r.fedStreamBytes);
+        static_cast<std::int64_t>(r.engine.fedStreamBytes);
     o["dir_adverts_published"] =
-        static_cast<std::int64_t>(r.dirAdvertsPublished);
-    o["dir_tombstones"] = static_cast<std::int64_t>(r.dirTombstones);
+        static_cast<std::int64_t>(r.directory.advertsPublished);
+    o["dir_tombstones"] = static_cast<std::int64_t>(r.directory.tombstones);
     o["dir_adverts_applied"] =
-        static_cast<std::int64_t>(r.dirAdvertsApplied);
+        static_cast<std::int64_t>(r.directory.advertsApplied);
     o["dir_adverts_dropped"] =
-        static_cast<std::int64_t>(r.dirAdvertsDropped);
+        static_cast<std::int64_t>(r.directory.advertsDropped);
     o["dir_anti_entropy_rounds"] =
-        static_cast<std::int64_t>(r.dirAntiEntropyRounds);
+        static_cast<std::int64_t>(r.directory.antiEntropyRounds);
     o["dir_fetch_grants"] =
-        static_cast<std::int64_t>(r.dirFetchGrants);
+        static_cast<std::int64_t>(r.directory.fetchGrants);
     o["dir_fetch_cap_rejects"] =
-        static_cast<std::int64_t>(r.dirFetchCapRejects);
+        static_cast<std::int64_t>(r.directory.fetchCapRejects);
     o["dir_fetch_validated"] =
-        static_cast<std::int64_t>(r.dirFetchValidated);
+        static_cast<std::int64_t>(r.directory.fetchValidated);
     o["dir_fetch_invalidated"] =
-        static_cast<std::int64_t>(r.dirFetchInvalidated);
+        static_cast<std::int64_t>(r.directory.fetchInvalidated);
     o["fabric_transfers"] =
-        static_cast<std::int64_t>(r.fabricTransfers);
+        static_cast<std::int64_t>(r.fabric.transfers);
     o["fabric_bytes_moved"] =
-        static_cast<std::int64_t>(r.fabricBytesMoved);
+        static_cast<std::int64_t>(r.fabric.bytesMoved);
     o["fabric_queue_ticks"] =
-        static_cast<std::int64_t>(r.fabricQueueTicks);
+        static_cast<std::int64_t>(r.fabric.queueTicks);
     o["output_digest"] = static_cast<std::int64_t>(r.outputDigest);
     return o;
 }
@@ -110,7 +104,8 @@ std::uint64_t
 preambleColdTokens(const exp::FederationRunResult &r)
 {
     std::uint64_t preamble = r.promptTokens - r.tailTokens;
-    return preamble > r.cachedTokens ? preamble - r.cachedTokens : 0;
+    std::uint64_t cached = r.engine.cachedTokens;
+    return preamble > cached ? preamble - cached : 0;
 }
 
 } // anonymous namespace
@@ -143,7 +138,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     std::uint64_t(base.servers) * base.prefixTokens),
                 static_cast<unsigned long long>(
-                    on.hitTokensRemoteServer));
+                    on.engine.hitTokensRemoteServer));
 
     // Cell 1b: chatbot whose turns hop servers — the re-sent history
     // is only reachable through federation.
@@ -160,9 +155,9 @@ main(int argc, char **argv)
                 "remote-server hit tokens %llu, streams %llu\n",
                 chatOff.aggregateHitRate, chatOn.aggregateHitRate,
                 static_cast<unsigned long long>(
-                    chatOn.hitTokensRemoteServer),
+                    chatOn.engine.hitTokensRemoteServer),
                 static_cast<unsigned long long>(
-                    chatOn.fedStreamsCompleted));
+                    chatOn.engine.fedStreamsCompleted));
 
     // Cell 2: the stream-vs-recompute cost model against a sickening
     // wire. As degradation deepens the streamed-copy estimate crosses
@@ -180,9 +175,9 @@ main(int argc, char **argv)
         exp::FederationRunResult r = exp::runFederation(cfg);
         t.newRow()
             .cell(d, 2)
-            .cell(r.fedStreamDecisions)
-            .cell(r.fedRecomputeDecisions)
-            .cell(r.hitTokensRemoteServer)
+            .cell(r.engine.fedStreamDecisions)
+            .cell(r.engine.fedRecomputeDecisions)
+            .cell(r.engine.hitTokensRemoteServer)
             .cell(r.aggregateHitRate, 3)
             .cell(r.unfinished);
         char key[32];
@@ -218,10 +213,10 @@ main(int argc, char **argv)
                 "%016llx)\n",
                 static_cast<unsigned long long>(chaosR.unfinished),
                 static_cast<unsigned long long>(
-                    chaosR.fedStreamsCompleted),
+                    chaosR.engine.fedStreamsCompleted),
                 static_cast<unsigned long long>(
-                    chaosR.fedStreamsInvalidated),
-                static_cast<unsigned long long>(chaosR.dirTombstones),
+                    chaosR.engine.fedStreamsInvalidated),
+                static_cast<unsigned long long>(chaosR.directory.tombstones),
                 static_cast<unsigned long long>(chaosR.outputDigest),
                 static_cast<unsigned long long>(twin.outputDigest),
                 static_cast<unsigned long long>(twinOff.outputDigest));
@@ -233,17 +228,17 @@ main(int argc, char **argv)
     //     rest, and improves the cross-server chatbot hit rate.
     std::uint64_t preambleBudget =
         std::uint64_t(base.servers) * (base.prefixTokens + 16);
-    bool okOnce = on.hitTokensRemoteServer > 0 &&
+    bool okOnce = on.engine.hitTokensRemoteServer > 0 &&
                   preambleColdTokens(on) <= preambleBudget &&
                   on.aggregateHitRate > off.aggregateHitRate;
     bool okChat = chatOn.aggregateHitRate > chatOff.aggregateHitRate &&
-                  chatOn.hitTokensRemoteServer > 0;
+                  chatOn.engine.hitTokensRemoteServer > 0;
     // (b) The cost model streams on a healthy wire, recomputes on a
     //     dead one, and nothing is left unfinished anywhere.
-    bool okCost = healthiest.fedStreamDecisions > 0 &&
-                  healthiest.fedRecomputeDecisions == 0 &&
-                  sickest.fedRecomputeDecisions > 0 &&
-                  sickest.fedStreamDecisions == 0;
+    bool okCost = healthiest.engine.fedStreamDecisions > 0 &&
+                  healthiest.engine.fedRecomputeDecisions == 0 &&
+                  sickest.engine.fedRecomputeDecisions > 0 &&
+                  sickest.engine.fedStreamDecisions == 0;
     bool okNothingStuck =
         off.unfinished == 0 && on.unfinished == 0 &&
         chatOff.unfinished == 0 && chatOn.unfinished == 0 &&
@@ -257,8 +252,8 @@ main(int argc, char **argv)
     for (const exp::FederationRunResult *r :
          {&off, &on, &chatOff, &chatOn, &healthiest, &sickest, &chaosR,
           &twin, &twinOff}) {
-        okIdentity = okIdentity && r->sigMismatches == 0 &&
-                     r->clusterSigMismatches == 0;
+        okIdentity = okIdentity && r->engine.sigMismatches == 0 &&
+                     r->engine.clusterSigMismatches == 0;
     }
     bool okTwin = chaosR.outputDigest == twin.outputDigest &&
                   twin.outputDigest == twinOff.outputDigest;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "json/json.hh"
+#include "serve/vllm_engine.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "workload/request.hh"
@@ -91,6 +92,18 @@ sloAttainment(const std::vector<workload::RequestMetrics> &metrics,
     }
     return static_cast<double>(hits) /
            static_cast<double>(metrics.size());
+}
+
+/** Write the prefix-hit tokens by origin under their JSON keys. */
+inline void
+setHitOrigins(json::Object &o, const serve::PrefixCacheEngineStats &s)
+{
+    o["hit_tokens_local"] = static_cast<std::int64_t>(s.hitTokensLocal);
+    o["hit_tokens_remote_peer"] =
+        static_cast<std::int64_t>(s.hitTokensRemote);
+    o["hit_tokens_dram"] = static_cast<std::int64_t>(s.hitTokensDram);
+    o["hit_tokens_remote_server"] =
+        static_cast<std::int64_t>(s.hitTokensRemoteServer);
 }
 
 /**

@@ -101,11 +101,12 @@ main(int argc, char **argv)
                 "case is ~20%% and it matches vLLM for late "
                 "requests.\n");
 
-    const exp::PrefixCacheReport &pc = results[3].prefix;
+    const serve::PrefixIndexStats &ix = results[3].index;
+    const serve::PrefixCacheEngineStats &pc = results[3].engine;
     std::printf("prefix cache (AQUA+APC): hit rate %.1f%%, %llu "
                 "tokens prefilled from cache, %llu CoW forks, %llu "
                 "sig mismatches\n",
-                100.0 * pc.hitRate,
+                100.0 * ix.hitRate(),
                 static_cast<unsigned long long>(pc.cachedTokens),
                 static_cast<unsigned long long>(pc.cowForks),
                 static_cast<unsigned long long>(pc.sigMismatches));
@@ -134,24 +135,17 @@ main(int argc, char **argv)
     }
     report.set("systems", std::move(systems));
     json::Object prefix;
-    prefix["hit_rate"] = pc.hitRate;
-    prefix["hits"] = static_cast<std::int64_t>(pc.hits);
-    prefix["misses"] = static_cast<std::int64_t>(pc.misses);
-    prefix["partial_hits"] = static_cast<std::int64_t>(pc.partialHits);
+    prefix["hit_rate"] = ix.hitRate();
+    prefix["hits"] = static_cast<std::int64_t>(ix.hits);
+    prefix["misses"] = static_cast<std::int64_t>(ix.misses);
+    prefix["partial_hits"] = static_cast<std::int64_t>(ix.partialHits);
     prefix["cached_tokens"] = static_cast<std::int64_t>(pc.cachedTokens);
     prefix["cow_forks"] = static_cast<std::int64_t>(pc.cowForks);
     prefix["dedup_saved_bytes"] =
         static_cast<std::int64_t>(pc.dedupSavedBytes);
     prefix["sig_mismatches"] =
         static_cast<std::int64_t>(pc.sigMismatches);
-    prefix["hit_tokens_local"] =
-        static_cast<std::int64_t>(pc.hitTokensLocal);
-    prefix["hit_tokens_remote_peer"] =
-        static_cast<std::int64_t>(pc.hitTokensRemote);
-    prefix["hit_tokens_dram"] =
-        static_cast<std::int64_t>(pc.hitTokensDram);
-    prefix["hit_tokens_remote_server"] =
-        static_cast<std::int64_t>(pc.hitTokensRemoteServer);
+    bench::setHitOrigins(prefix, pc);
     report.set("prefix_cache", std::move(prefix));
     report.write();
     return 0;

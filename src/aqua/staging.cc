@@ -20,12 +20,10 @@ StagingEngine::StagingEngine(hw::Server &server, hw::GpuId gpu,
     : server(server), gpu(gpu), cfg(config),
       model(server.gpu(gpu).spec())
 {
-    if (cfg.slotBytes == 0 || cfg.slots == 0 ||
-        cfg.coalesceThresholdBytes == 0) {
-        panic("StagingEngine(gpu%d): slot size, slot count and "
-              "coalescing threshold must be positive", gpu);
+    if (cfg.slotBytes == 0 || cfg.coalesceThresholdBytes == 0) {
+        panic("StagingEngine(gpu%d): slot size and coalescing "
+              "threshold must be positive", gpu);
     }
-    slotFree.assign(cfg.slots, 0);
 }
 
 StagingEngine::~StagingEngine()
@@ -40,10 +38,10 @@ StagingEngine::ensureStagingBuffer()
     if (stagingRegion)
         return;
     stagingRegion = server.gpu(gpu).hbm().allocate(
-        static_cast<std::uint64_t>(cfg.slots) * cfg.slotBytes);
+        std::uint64_t(stagingSlots) * cfg.slotBytes);
     if (!stagingRegion) {
         panic("StagingEngine(gpu%d): no HBM for a %u x %llu staging "
-              "buffer", gpu, cfg.slots,
+              "buffer", gpu, stagingSlots,
               static_cast<unsigned long long>(cfg.slotBytes));
     }
 }
@@ -167,7 +165,7 @@ StagingEngine::execute(hw::GpuId peer, bool outbound,
         Tick done;
         if (t.staged) {
             ensureStagingBuffer();
-            std::uint64_t slot = nextSlot++ % cfg.slots;
+            std::uint64_t slot = nextSlot++ % stagingSlots;
             if (slotFree[slot] > ready)
                 ready = slotFree[slot];
             if (outbound) {

@@ -26,6 +26,7 @@
 #ifndef AQUA_AQUA_STAGING_HH
 #define AQUA_AQUA_STAGING_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -100,14 +101,13 @@ struct StagingEngineConfig
      * batch never overruns its slot.
      */
     std::uint64_t slotBytes = std::uint64_t(32) << 20;
-
-    /**
-     * Number of staging slots. Two gives classic double buffering:
-     * the gather for transfer N+1 fills one slot while transfer N
-     * drains the other. One slot serializes gather and wire time.
-     */
-    std::uint32_t slots = 2;
 };
+
+/**
+ * Number of staging slots: classic double buffering, the gather for
+ * transfer N+1 fills one slot while transfer N drains the other.
+ */
+inline constexpr std::uint32_t stagingSlots = 2;
 
 /** Per-transfer accounting, recorded through the stats layer. */
 struct StagingTransferStats
@@ -134,7 +134,7 @@ struct StagingTransferStats
  * Plans and executes coalesced, double-buffered scatter/gather
  * transfers between one GPU and a peer GPU or host DRAM.
  *
- * The staging buffer (slots * slotBytes) is carved from the GPU's HBM
+ * The staging buffer (stagingSlots * slotBytes) is carved from the GPU's HBM
  * lazily, on the first staged transfer. Slot reuse is tracked across
  * calls: a slot is free again once the transfer that drained it (or
  * the scatter that emptied it) has completed, which is what lets a
@@ -213,7 +213,7 @@ class StagingEngine
     /** Staging buffer on local HBM (allocated lazily). */
     std::optional<aqua::mem::Region> stagingRegion;
     /** Per-slot reuse horizon; persists across calls. */
-    std::vector<aqua::sim::Tick> slotFree;
+    std::array<aqua::sim::Tick, stagingSlots> slotFree{};
     std::uint64_t nextSlot = 0;
     StagingTransferStats counters;
 };

@@ -120,31 +120,6 @@ sortById(std::vector<workload::RequestMetrics> &metrics)
               [](const auto &a, const auto &b) { return a.id < b.id; });
 }
 
-/** Collect the prefix-cache counters of a consumer engine. */
-PrefixCacheReport
-prefixReportFrom(const serve::VllmEngine &engine)
-{
-    PrefixCacheReport r;
-    const serve::PrefixIndexStats &is = engine.kvCache().prefixStats();
-    r.hitRate = is.hitRate();
-    r.hits = is.hits;
-    r.misses = is.misses;
-    r.partialHits = is.partialHits;
-    r.collisions = is.collisions;
-    r.evictions = is.evictions;
-    const serve::PrefixCacheEngineStats &es = engine.prefixEngineStats();
-    r.cachedTokens = es.cachedTokens;
-    r.cowForks = es.cowForks;
-    r.dedupSavedBytes = es.dedupSavedBytes;
-    r.residentReuseBytes = es.residentReuseBytes;
-    r.sigMismatches = es.sigMismatches;
-    r.hitTokensLocal = es.hitTokensLocal;
-    r.hitTokensRemote = es.hitTokensRemote;
-    r.hitTokensDram = es.hitTokensDram;
-    r.hitTokensRemoteServer = es.hitTokensRemoteServer;
-    return r;
-}
-
 } // anonymous namespace
 
 CfsExperimentResult
@@ -553,7 +528,8 @@ runChatbot(const ChatbotConfig &cfg)
               [](const auto &a, const auto &b) {
                   return a.metrics.id < b.metrics.id;
               });
-    result.prefix = prefixReportFrom(consumer);
+    result.index = consumer.kvCache().prefixStats();
+    result.engine = consumer.prefixEngineStats();
     result.peakLiveKvBytes = consumer.kvCache().peakLiveKvBytes();
     result.offloadWriteBytes = consumer.offloadWriteBytes();
     result.offloadReadBytes = consumer.offloadReadBytes();
@@ -618,7 +594,8 @@ runPrefixAblation(const PrefixAblationConfig &cfg)
     PrefixAblationResult result;
     result.metrics = consumer.finished();
     sortById(result.metrics);
-    result.prefix = prefixReportFrom(consumer);
+    result.index = consumer.kvCache().prefixStats();
+    result.engine = consumer.prefixEngineStats();
     result.peakLiveKvBytes = consumer.kvCache().peakLiveKvBytes();
     result.offloadWriteBytes = consumer.offloadWriteBytes();
     result.offloadReadBytes = consumer.offloadReadBytes();
@@ -804,22 +781,7 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
     for (const auto &engine : engines) {
         for (const workload::RequestMetrics &m : engine->finished())
             result.metrics.push_back(m);
-        const serve::PrefixCacheEngineStats &es =
-            engine->prefixEngineStats();
-        result.cachedTokens += es.cachedTokens;
-        result.registryHits += es.registryHits;
-        result.registryMisses += es.registryMisses;
-        result.borrowAdmissions += es.borrowAdmissions;
-        result.copyAdmissions += es.copyAdmissions;
-        result.remoteCopyBytes += es.remoteCopyBytes;
-        result.remoteDecodeReadBytes += es.remoteDecodeReadBytes;
-        result.remoteBrokenChains += es.remoteBrokenChains;
-        result.sigMismatches += es.sigMismatches;
-        result.clusterSigMismatches += es.clusterSigMismatches;
-        result.hitTokensLocal += es.hitTokensLocal;
-        result.hitTokensRemote += es.hitTokensRemote;
-        result.hitTokensDram += es.hitTokensDram;
-        result.hitTokensRemoteServer += es.hitTokensRemoteServer;
+        result.engine += engine->prefixEngineStats();
         tokens += engine->totalTokens();
     }
     sortById(result.metrics);
@@ -829,7 +791,8 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
     result.promptTokens = promptTotal;
     result.aggregateHitRate =
         promptTotal > 0
-            ? static_cast<double>(result.cachedTokens) / promptTotal
+            ? static_cast<double>(result.engine.cachedTokens) /
+                  promptTotal
             : 0.0;
 
     // Residency: full preamble blocks each engine still has indexed.
@@ -862,13 +825,7 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
             : 0.0;
 
     if (registry) {
-        const cluster::PrefixRegistryStats &rs = registry->stats();
-        result.regPublishes = rs.publishes;
-        result.regReplicaPublishes = rs.replicaPublishes;
-        result.regCollisions = rs.collisions;
-        result.regPromotions = rs.promotions;
-        result.regInvalidations = rs.invalidations;
-        result.regBrokenPins = rs.brokenPins;
+        result.registry = registry->stats();
         result.activePins = registry->activePins();
     }
 
@@ -1082,23 +1039,7 @@ runFederation(const FederationRunConfig &cfg)
     for (const auto &engine : engines) {
         for (const workload::RequestMetrics &m : engine->finished())
             result.metrics.push_back(m);
-        const serve::PrefixCacheEngineStats &es =
-            engine->prefixEngineStats();
-        result.cachedTokens += es.cachedTokens;
-        result.hitTokensLocal += es.hitTokensLocal;
-        result.hitTokensRemote += es.hitTokensRemote;
-        result.hitTokensDram += es.hitTokensDram;
-        result.hitTokensRemoteServer += es.hitTokensRemoteServer;
-        result.sigMismatches += es.sigMismatches;
-        result.clusterSigMismatches += es.clusterSigMismatches;
-        result.fedHits += es.fedHits;
-        result.fedMisses += es.fedMisses;
-        result.fedStreamDecisions += es.fedStreamDecisions;
-        result.fedRecomputeDecisions += es.fedRecomputeDecisions;
-        result.fedFetchRefusals += es.fedFetchRefusals;
-        result.fedStreamsCompleted += es.fedStreamsCompleted;
-        result.fedStreamsInvalidated += es.fedStreamsInvalidated;
-        result.fedStreamBytes += es.fedStreamBytes;
+        result.engine += engine->prefixEngineStats();
         tokens += engine->totalTokens();
     }
     sortById(result.metrics);
@@ -1109,28 +1050,15 @@ runFederation(const FederationRunConfig &cfg)
     result.tailTokens = tailTotal;
     result.aggregateHitRate =
         promptTotal > 0
-            ? static_cast<double>(result.cachedTokens) / promptTotal
+            ? static_cast<double>(result.engine.cachedTokens) /
+                  promptTotal
             : 0.0;
 
     if (cfg.federation) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const federation::DirectoryStats &ds =
-                cluster.directory(i).stats();
-            result.dirAdvertsPublished += ds.advertsPublished;
-            result.dirTombstones += ds.tombstones;
-            result.dirAdvertsApplied += ds.advertsApplied;
-            result.dirAdvertsDropped += ds.advertsDropped;
-            result.dirAntiEntropyRounds += ds.antiEntropyRounds;
-            result.dirFetchGrants += ds.fetchGrants;
-            result.dirFetchCapRejects += ds.fetchCapRejects;
-            result.dirFetchValidated += ds.fetchValidated;
-            result.dirFetchInvalidated += ds.fetchInvalidated;
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            result.directory += cluster.directory(i).stats();
     }
-    const hw::FabricStats &fs = cluster.fabric().stats();
-    result.fabricTransfers = fs.transfers;
-    result.fabricBytesMoved = fs.bytesMoved;
-    result.fabricQueueTicks = fs.queueTicks;
+    result.fabric = cluster.fabric().stats();
 
     // Timing-free output digest: federation (and its faults) may only
     // change where prefill KV comes from, never what gets generated.
@@ -1254,7 +1182,7 @@ runOverload(const OverloadRunConfig &cfg)
     sortById(res.metrics);
     res.shed = consumer.shedCount();
     res.fallbackSwaps = consumer.fallbackSwapCount();
-    res.sigMismatches = consumer.prefixEngineStats().sigMismatches;
+    res.engine = consumer.prefixEngineStats();
     res.unfinished = trace.size() - consumer.finished().size();
     res.elapsedSec = ticksToSec(tb.sim().now());
 
@@ -1295,8 +1223,7 @@ runOverload(const OverloadRunConfig &cfg)
         res.queueDelayP99Sec = qd.p99();
     }
     if (const auto *bc = consumer.brownoutController()) {
-        res.brownoutTransitions = bc->stats().transitions;
-        res.brownoutEscalations = bc->stats().escalations;
+        res.brownout = bc->stats();
         Tick degraded =
             bc->timeAtLevel(overload::BrownoutLevel::ForceDramOffload,
                             tb.sim().now()) +
@@ -1304,11 +1231,8 @@ runOverload(const OverloadRunConfig &cfg)
                             tb.sim().now());
         res.secondsDegraded = ticksToSec(degraded);
     }
-    if (const auto *pg = consumer.precisionGovernor()) {
-        res.precisionReconfigs = pg->stats().reconfigurations;
-        res.precisionDemotedPayloads = pg->stats().demotedPayloads;
-        res.precisionSavedBytes = pg->stats().savedBytes;
-    }
+    if (const auto *pg = consumer.precisionGovernor())
+        res.precision = pg->stats();
     return res;
 }
 
@@ -1442,14 +1366,10 @@ runTiering(const TieringRunConfig &cfg)
 
     if (agent) {
         res.parkedAtEnd = agent->parkedCount();
-        const tier::PrefetchStats &ps = agent->pipeline().stats();
-        res.streamsStarted = ps.streamsStarted;
-        res.streamsCompleted = ps.streamsCompleted;
-        res.streamsCancelled = ps.streamsCancelled;
-        res.bytesStreamed = ps.bytesStreamed;
-        res.bytesWasted = ps.bytesWasted;
-        if (!ps.overlapEfficiency.empty())
-            res.overlapEfficiencyMean = ps.overlapEfficiency.mean();
+        res.prefetch = agent->pipeline().stats();
+        if (!res.prefetch.overlapEfficiency.empty())
+            res.overlapEfficiencyMean =
+                res.prefetch.overlapEfficiency.mean();
     }
     res.ssdBytesRead = tb.server().ssd().bytesRead();
     res.ssdBytesWritten = tb.server().ssd().bytesWritten();

@@ -14,10 +14,17 @@
 #include <string>
 #include <vector>
 
+#include "cluster/prefix_registry.hh"
+#include "federation/directory.hh"
+#include "hw/fabric.hh"
 #include "model/model_spec.hh"
+#include "overload/brownout.hh"
+#include "overload/kv_precision_governor.hh"
 #include "placer/placer.hh"
 #include "serve/prefix_index.hh"
+#include "serve/vllm_engine.hh"
 #include "stats/timeseries.hh"
+#include "tier/prefetch.hh"
 #include "workload/request.hh"
 
 namespace aqua::fault {
@@ -200,33 +207,6 @@ struct ChatbotConfig
     std::uint32_t systemPromptTokens = 0;
 };
 
-/** Prefix-cache effect counters (all zero when caching is off). */
-struct PrefixCacheReport
-{
-    double hitRate = 0.0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t partialHits = 0;
-    std::uint64_t collisions = 0;
-    std::uint64_t evictions = 0;
-    /** Prefill tokens skipped (served from cache). */
-    std::uint64_t cachedTokens = 0;
-    std::uint64_t cowForks = 0;
-    /** Offload write bytes avoided by shared-group dedup. */
-    std::uint64_t dedupSavedBytes = 0;
-    /** Swap-in read bytes avoided by re-acquiring resident blocks. */
-    std::uint64_t residentReuseBytes = 0;
-    /** Byte-identity violations across offload round trips. */
-    std::uint64_t sigMismatches = 0;
-    /** Prefix-hit tokens by origin (satellite of the cluster
-     *  registry: local HBM vs a peer GPU's copy vs host DRAM vs a
-     *  chain streamed from another server over the fabric). */
-    std::uint64_t hitTokensLocal = 0;
-    std::uint64_t hitTokensRemote = 0;
-    std::uint64_t hitTokensDram = 0;
-    std::uint64_t hitTokensRemoteServer = 0;
-};
-
 struct ChatbotResult
 {
     /** All request metrics with the issuing turn attached. */
@@ -237,7 +217,10 @@ struct ChatbotResult
     };
     std::vector<TurnMetric> metrics;
 
-    PrefixCacheReport prefix;
+    /** The consumer's prefix-cache counters (all zero when caching
+     *  is off). */
+    serve::PrefixIndexStats index;
+    serve::PrefixCacheEngineStats engine;
     /** Live-KV high-water mark in the consumer's pool (bytes). */
     std::uint64_t peakLiveKvBytes = 0;
     /** Bytes moved to/from the offload backend. */
@@ -284,7 +267,8 @@ struct PrefixAblationConfig
 struct PrefixAblationResult
 {
     std::vector<workload::RequestMetrics> metrics;
-    PrefixCacheReport prefix;
+    serve::PrefixIndexStats index;
+    serve::PrefixCacheEngineStats engine;
     std::uint64_t peakLiveKvBytes = 0;
     std::uint64_t offloadWriteBytes = 0;
     std::uint64_t offloadReadBytes = 0;
@@ -347,29 +331,12 @@ struct ClusterPrefixResult
     /** Requests submitted but never finished (must be 0). */
     std::uint64_t unfinished = 0;
 
-    /** Prefill tokens served from cache (local + remote), summed. */
-    std::uint64_t cachedTokens = 0;
+    /** Engine-side prefix counters, summed over engines. */
+    serve::PrefixCacheEngineStats engine;
     /** Prompt tokens across finished requests. */
     std::uint64_t promptTokens = 0;
-    /** cachedTokens / promptTokens (the aggregate hit rate). */
+    /** engine.cachedTokens / promptTokens (the aggregate hit rate). */
     double aggregateHitRate = 0.0;
-
-    /** Engine-side registry counters, summed over engines. */
-    std::uint64_t registryHits = 0;
-    std::uint64_t registryMisses = 0;
-    std::uint64_t borrowAdmissions = 0;
-    std::uint64_t copyAdmissions = 0;
-    std::uint64_t remoteCopyBytes = 0;
-    std::uint64_t remoteDecodeReadBytes = 0;
-    std::uint64_t remoteBrokenChains = 0;
-    /** Byte-identity violations (offload + cluster; must be 0). */
-    std::uint64_t sigMismatches = 0;
-    std::uint64_t clusterSigMismatches = 0;
-    /** Prefix-hit tokens by origin, summed over engines. */
-    std::uint64_t hitTokensLocal = 0;
-    std::uint64_t hitTokensRemote = 0;
-    std::uint64_t hitTokensDram = 0;
-    std::uint64_t hitTokensRemoteServer = 0;
 
     /** Preamble KV bytes resident across all engines at the end. */
     std::uint64_t residentPrefixBytes = 0;
@@ -379,12 +346,7 @@ struct ClusterPrefixResult
     double residencyFactor = 0.0;
 
     /** Registry-side counters (zero when registry = false). */
-    std::uint64_t regPublishes = 0;
-    std::uint64_t regReplicaPublishes = 0;
-    std::uint64_t regCollisions = 0;
-    std::uint64_t regPromotions = 0;
-    std::uint64_t regInvalidations = 0;
-    std::uint64_t regBrokenPins = 0;
+    cluster::PrefixRegistryStats registry;
     /** Leases still outstanding after the drain (must be 0). */
     std::uint64_t activePins = 0;
 
@@ -454,45 +416,18 @@ struct FederationRunResult
 
     std::uint64_t promptTokens = 0;
     /** Prompt tokens outside the shared preamble (per-request tails;
-     *  promptTokens - tailTokens - cachedTokens bounds the preamble
-     *  tokens actually re-prefilled across the cluster). */
+     *  promptTokens - tailTokens - engine.cachedTokens bounds the
+     *  preamble tokens actually re-prefilled across the cluster). */
     std::uint64_t tailTokens = 0;
-    std::uint64_t cachedTokens = 0;
     double aggregateHitRate = 0.0;
-    /** Prefix-hit tokens by origin, summed over servers. */
-    std::uint64_t hitTokensLocal = 0;
-    std::uint64_t hitTokensRemote = 0;
-    std::uint64_t hitTokensDram = 0;
-    std::uint64_t hitTokensRemoteServer = 0;
-    /** Byte-identity violations (must be 0). */
-    std::uint64_t sigMismatches = 0;
-    std::uint64_t clusterSigMismatches = 0;
 
-    /** Engine-side federation counters, summed over servers. */
-    std::uint64_t fedHits = 0;
-    std::uint64_t fedMisses = 0;
-    std::uint64_t fedStreamDecisions = 0;
-    std::uint64_t fedRecomputeDecisions = 0;
-    std::uint64_t fedFetchRefusals = 0;
-    std::uint64_t fedStreamsCompleted = 0;
-    std::uint64_t fedStreamsInvalidated = 0;
-    std::uint64_t fedStreamBytes = 0;
-
-    /** Directory counters, summed over servers. */
-    std::uint64_t dirAdvertsPublished = 0;
-    std::uint64_t dirTombstones = 0;
-    std::uint64_t dirAdvertsApplied = 0;
-    std::uint64_t dirAdvertsDropped = 0;
-    std::uint64_t dirAntiEntropyRounds = 0;
-    std::uint64_t dirFetchGrants = 0;
-    std::uint64_t dirFetchCapRejects = 0;
-    std::uint64_t dirFetchValidated = 0;
-    std::uint64_t dirFetchInvalidated = 0;
-
-    /** Fabric counters. */
-    std::uint64_t fabricTransfers = 0;
-    std::uint64_t fabricBytesMoved = 0;
-    std::uint64_t fabricQueueTicks = 0;
+    /** Engine-side prefix and federation counters, summed over
+     *  servers. */
+    serve::PrefixCacheEngineStats engine;
+    /** Directory counters, summed over servers (zero when
+     *  federation = false). */
+    federation::DirectoryStats directory;
+    hw::FabricStats fabric;
 
     /**
      * FNV digest over the finished requests' (id, tokensGenerated),
@@ -574,16 +509,14 @@ struct OverloadRunResult
     double queueDelayP50Sec = 0.0;
     double queueDelayP99Sec = 0.0;
     /** Brownout ladder activity (zero when uncontrolled). */
-    std::uint64_t brownoutTransitions = 0;
-    std::uint64_t brownoutEscalations = 0;
+    overload::BrownoutStats brownout;
     /** KV precision governor activity (zero when disabled). */
-    std::uint64_t precisionReconfigs = 0;
-    std::uint64_t precisionDemotedPayloads = 0;
-    std::uint64_t precisionSavedBytes = 0;
+    overload::KvPrecisionGovernorStats precision;
     /** Seconds spent at or above ForceDramOffload. */
     double secondsDegraded = 0.0;
-    /** Byte-identity violations on the offload path (must be 0). */
-    std::uint64_t sigMismatches = 0;
+    /** The consumer's prefix counters; engine.sigMismatches counts
+     *  byte-identity violations on the offload path (must be 0). */
+    serve::PrefixCacheEngineStats engine;
     /** Requests neither finished nor shed at the horizon (a nonzero
      *  value means stuck/deadlocked sequences). */
     std::uint64_t unfinished = 0;
@@ -653,11 +586,7 @@ struct TieringRunResult
     double warmTtftP50Sec = 0.0;
 
     /** Prefetch pipeline accounting (zero without tiering). */
-    std::uint64_t streamsStarted = 0;
-    std::uint64_t streamsCompleted = 0;
-    std::uint64_t streamsCancelled = 0;
-    std::uint64_t bytesStreamed = 0;
-    std::uint64_t bytesWasted = 0;
+    tier::PrefetchStats prefetch;
     double overlapEfficiencyMean = 0.0;
 
     /** Media traffic. */

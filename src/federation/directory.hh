@@ -136,6 +136,30 @@ struct DirectoryStats
     std::uint64_t fetchInvalidated = 0;
 };
 
+// A counter added above must also be added to the sum below.
+static_assert(sizeof(DirectoryStats) == 14 * sizeof(std::uint64_t));
+
+/** Field-wise sum, for totals over several servers' directories. */
+inline DirectoryStats &
+operator+=(DirectoryStats &a, const DirectoryStats &b)
+{
+    a.advertsPublished += b.advertsPublished;
+    a.tombstones += b.tombstones;
+    a.advertsApplied += b.advertsApplied;
+    a.advertsStale += b.advertsStale;
+    a.advertsDropped += b.advertsDropped;
+    a.antiEntropyRounds += b.antiEntropyRounds;
+    a.lookups += b.lookups;
+    a.hits += b.hits;
+    a.misses += b.misses;
+    a.fetchGrants += b.fetchGrants;
+    a.fetchCapRejects += b.fetchCapRejects;
+    a.fetchStaleRejects += b.fetchStaleRejects;
+    a.fetchValidated += b.fetchValidated;
+    a.fetchInvalidated += b.fetchInvalidated;
+    return a;
+}
+
 /**
  * One server's federation directory. Lives next to the coordinator
  * and its prefix registry; binds the /federation routes there

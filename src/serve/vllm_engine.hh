@@ -16,6 +16,7 @@
 #ifndef AQUA_SERVE_VLLM_ENGINE_HH
 #define AQUA_SERVE_VLLM_ENGINE_HH
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -219,6 +220,44 @@ struct PrefixCacheEngineStats
     /** Bytes streamed in over the inter-server fabric. */
     std::uint64_t fedStreamBytes = 0;
 };
+
+// A counter added above must also be added to the sum below.
+static_assert(sizeof(PrefixCacheEngineStats) == 28 * sizeof(std::uint64_t));
+
+/** Field-wise sum, for totals over several engines. */
+inline PrefixCacheEngineStats &
+operator+=(PrefixCacheEngineStats &a, const PrefixCacheEngineStats &b)
+{
+    a.cachedTokens += b.cachedTokens;
+    a.cowForks += b.cowForks;
+    a.sharedSwapOuts += b.sharedSwapOuts;
+    a.groupWrites += b.groupWrites;
+    a.dedupSavedBytes += b.dedupSavedBytes;
+    a.residentReuseBytes += b.residentReuseBytes;
+    a.sigMismatches += b.sigMismatches;
+    a.registryHits += b.registryHits;
+    a.registryMisses += b.registryMisses;
+    a.remoteHitBlocks += b.remoteHitBlocks;
+    a.remoteCopyBytes += b.remoteCopyBytes;
+    a.remoteDecodeReadBytes += b.remoteDecodeReadBytes;
+    a.borrowAdmissions += b.borrowAdmissions;
+    a.copyAdmissions += b.copyAdmissions;
+    a.clusterSigMismatches += b.clusterSigMismatches;
+    a.remoteBrokenChains += b.remoteBrokenChains;
+    a.hitTokensLocal += b.hitTokensLocal;
+    a.hitTokensRemote += b.hitTokensRemote;
+    a.hitTokensDram += b.hitTokensDram;
+    a.hitTokensRemoteServer += b.hitTokensRemoteServer;
+    a.fedHits += b.fedHits;
+    a.fedMisses += b.fedMisses;
+    a.fedStreamDecisions += b.fedStreamDecisions;
+    a.fedRecomputeDecisions += b.fedRecomputeDecisions;
+    a.fedFetchRefusals += b.fedFetchRefusals;
+    a.fedStreamsCompleted += b.fedStreamsCompleted;
+    a.fedStreamsInvalidated += b.fedStreamsInvalidated;
+    a.fedStreamBytes += b.fedStreamBytes;
+    return a;
+}
 
 /**
  * Read-path integrity counters (payload_corrupt / ssd_bitrot faults).

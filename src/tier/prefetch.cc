@@ -8,13 +8,9 @@ namespace aqua::tier {
 
 using namespace aqua::sim;
 
-PrefetchPipeline::PrefetchPipeline(hw::Server &server, hw::GpuId gpu,
-                                   PrefetchConfig config)
-    : server(server), gpu(gpu), cfg(config)
+PrefetchPipeline::PrefetchPipeline(hw::Server &server, hw::GpuId gpu)
+    : server(server), gpu(gpu)
 {
-    if (cfg.buffers == 0)
-        panic("PrefetchPipeline: buffer count must be positive");
-    bufFree.assign(cfg.buffers, 0);
 }
 
 PrefetchPipeline::StreamId
@@ -71,7 +67,7 @@ PrefetchPipeline::issueWindow(StreamId id)
 
     std::uint64_t w = std::min<std::uint64_t>(prefetchWindowBytes,
                                               s.remaining);
-    std::uint32_t slot = s.nextSlot++ % cfg.buffers;
+    std::uint32_t slot = s.nextSlot++ % prefetchBuffers;
     Tick base = server.simulation().now();
     if (bufFree[slot] > base)
         base = bufFree[slot];
@@ -163,7 +159,7 @@ PrefetchPipeline::estimate(std::uint64_t bytes) const
     Tick mTot = (n - 1) * mFull + mLast;
     Tick pTot = (n - 1) * pFull + pLast;
 
-    if (cfg.buffers < 2 || n == 1)
+    if (n == 1)
         return mTot + pTot;
     // Two-stage pipeline: the longer stage sets the pace, plus the
     // other stage's exposed first/last window.

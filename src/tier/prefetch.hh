@@ -21,6 +21,7 @@
 #ifndef AQUA_TIER_PREFETCH_HH
 #define AQUA_TIER_PREFETCH_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -35,15 +36,9 @@ namespace aqua::tier {
 inline constexpr std::uint64_t prefetchWindowBytes = std::uint64_t(32)
                                                      << 20;
 
-/** Prefetch pipeline tunables. */
-struct PrefetchConfig
-{
-    /**
-     * DRAM bounce buffers. Two gives double buffering (media read
-     * N+1 overlaps PCIe drain N); one serializes the stages.
-     */
-    std::uint32_t buffers = 2;
-};
+/** DRAM bounce buffers: double buffering, the media read of window
+ *  N+1 overlaps the PCIe drain of window N. */
+inline constexpr std::uint32_t prefetchBuffers = 2;
 
 /** Aggregate pipeline accounting. */
 struct PrefetchStats
@@ -89,13 +84,11 @@ class PrefetchPipeline
 
     using DoneCallback = std::function<void(const Done &)>;
 
-    PrefetchPipeline(hw::Server &server, hw::GpuId gpu,
-                     PrefetchConfig config = {});
+    PrefetchPipeline(hw::Server &server, hw::GpuId gpu);
 
     PrefetchPipeline(const PrefetchPipeline &) = delete;
     PrefetchPipeline &operator=(const PrefetchPipeline &) = delete;
 
-    const PrefetchConfig &config() const { return cfg; }
     const PrefetchStats &stats() const { return counters; }
 
     /**
@@ -154,9 +147,8 @@ class PrefetchPipeline
 
     hw::Server &server;
     hw::GpuId gpu;
-    PrefetchConfig cfg;
     /** Per-bounce-buffer reuse horizon. */
-    std::vector<aqua::sim::Tick> bufFree;
+    std::array<aqua::sim::Tick, prefetchBuffers> bufFree{};
     std::map<StreamId, Stream> streams;
     StreamId nextStream = 1;
     PrefetchStats counters;

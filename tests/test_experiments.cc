@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <map>
 
 #include "bench/bench_util.hh"
@@ -386,11 +388,11 @@ TEST(GoldenOutputs, Overload)
     EXPECT_EQ(r.shed, 6u);
     EXPECT_EQ(r.fallbackSwaps, 0u);
     EXPECT_EQ(r.deadlineMet, 74u);
-    EXPECT_EQ(r.brownoutTransitions, 2u);
-    EXPECT_EQ(r.precisionReconfigs, 10u);
-    EXPECT_EQ(r.precisionSavedBytes, 217055232u);
+    EXPECT_EQ(r.brownout.transitions, 2u);
+    EXPECT_EQ(r.precision.reconfigurations, 10u);
+    EXPECT_EQ(r.precision.savedBytes, 217055232u);
     EXPECT_EQ(r.unfinished, 0u);
-    EXPECT_EQ(r.sigMismatches, 0u);
+    EXPECT_EQ(r.engine.sigMismatches, 0u);
 }
 
 TEST(GoldenOutputs, Tiering)
@@ -404,8 +406,8 @@ TEST(GoldenOutputs, Tiering)
     EXPECT_EQ(r.parks, 12u);
     EXPECT_EQ(r.streamResumes, 6u);
     EXPECT_EQ(r.recomputeResumes, 0u);
-    EXPECT_EQ(r.bytesStreamed, 915013632u);
-    EXPECT_EQ(r.bytesWasted, 0u);
+    EXPECT_EQ(r.prefetch.bytesStreamed, 915013632u);
+    EXPECT_EQ(r.prefetch.bytesWasted, 0u);
     EXPECT_EQ(r.ssdBytesRead, 915013632u);
     EXPECT_EQ(r.ssdBytesWritten, 2783182848u);
     EXPECT_EQ(r.unfinished, 0u);
@@ -420,17 +422,17 @@ TEST(GoldenOutputs, ClusterPrefix)
     ClusterPrefixResult r = runClusterPrefix(cfg);
     EXPECT_EQ(r.metrics.size(), 30u);
     EXPECT_EQ(outputDigest(r.metrics), 11769646150137680505ULL);
-    EXPECT_EQ(r.cachedTokens, 22272u);
-    EXPECT_EQ(r.registryHits, 20u);
-    EXPECT_EQ(r.borrowAdmissions, 0u);
-    EXPECT_EQ(r.copyAdmissions, 20u);
-    EXPECT_EQ(r.remoteCopyBytes, 3019898880u);
-    EXPECT_EQ(r.regPublishes, 20u);
-    EXPECT_EQ(r.regInvalidations, 1u);
+    EXPECT_EQ(r.engine.cachedTokens, 22272u);
+    EXPECT_EQ(r.engine.registryHits, 20u);
+    EXPECT_EQ(r.engine.borrowAdmissions, 0u);
+    EXPECT_EQ(r.engine.copyAdmissions, 20u);
+    EXPECT_EQ(r.engine.remoteCopyBytes, 3019898880u);
+    EXPECT_EQ(r.registry.publishes, 20u);
+    EXPECT_EQ(r.registry.invalidations, 1u);
     EXPECT_EQ(r.residentPrefixBytes, 150994944u);
     EXPECT_EQ(r.unfinished, 0u);
     EXPECT_EQ(r.activePins, 0u);
-    EXPECT_EQ(r.sigMismatches + r.clusterSigMismatches, 0u);
+    EXPECT_EQ(r.engine.sigMismatches + r.engine.clusterSigMismatches, 0u);
 }
 
 TEST(GoldenOutputs, Federation)
@@ -442,15 +444,15 @@ TEST(GoldenOutputs, Federation)
     EXPECT_EQ(r.metrics.size(), 18u);
     EXPECT_EQ(outputDigest(r.metrics), 7243658004281800875ULL);
     EXPECT_EQ(r.outputDigest, 13611547664758535020ULL);
-    EXPECT_EQ(r.cachedTokens, 13056u);
-    EXPECT_EQ(r.fedHits, 2u);
-    EXPECT_EQ(r.fedStreamDecisions, 2u);
-    EXPECT_EQ(r.fedRecomputeDecisions, 0u);
-    EXPECT_EQ(r.fedStreamBytes, 301989888u);
-    EXPECT_EQ(r.dirAdvertsApplied, 8u);
-    EXPECT_EQ(r.dirAntiEntropyRounds, 3000u);
-    EXPECT_EQ(r.fabricBytesMoved, 301989888u);
-    EXPECT_EQ(r.fabricQueueTicks, 0u);
+    EXPECT_EQ(r.engine.cachedTokens, 13056u);
+    EXPECT_EQ(r.engine.fedHits, 2u);
+    EXPECT_EQ(r.engine.fedStreamDecisions, 2u);
+    EXPECT_EQ(r.engine.fedRecomputeDecisions, 0u);
+    EXPECT_EQ(r.engine.fedStreamBytes, 301989888u);
+    EXPECT_EQ(r.directory.advertsApplied, 8u);
+    EXPECT_EQ(r.directory.antiEntropyRounds, 3000u);
+    EXPECT_EQ(r.fabric.bytesMoved, 301989888u);
+    EXPECT_EQ(r.fabric.queueTicks, 0u);
     EXPECT_EQ(r.unfinished, 0u);
 }
 
@@ -464,13 +466,13 @@ TEST(GoldenOutputs, PrefixAblation)
     PrefixAblationResult r = runPrefixAblation(cfg);
     EXPECT_EQ(r.metrics.size(), 120u);
     EXPECT_EQ(outputDigest(r.metrics), 14925754126232160115ULL);
-    EXPECT_EQ(r.prefix.hits, 155510u);
-    EXPECT_EQ(r.prefix.cachedTokens, 89088u);
-    EXPECT_EQ(r.prefix.evictions, 37961u);
+    EXPECT_EQ(r.index.hits, 155510u);
+    EXPECT_EQ(r.engine.cachedTokens, 89088u);
+    EXPECT_EQ(r.index.evictions, 37961u);
     EXPECT_EQ(r.peakLiveKvBytes, 4388290560u);
     EXPECT_EQ(r.offloadWriteBytes, 588484706304u);
     EXPECT_EQ(r.swapOuts, 3033u);
-    EXPECT_EQ(r.prefix.sigMismatches, 0u);
+    EXPECT_EQ(r.engine.sigMismatches, 0u);
 }
 
 TEST(GoldenOutputs, ClusterSim)
@@ -491,4 +493,43 @@ TEST(GoldenOutputs, ClusterSim)
     EXPECT_EQ(textDigest(json::Value(r.stats).dump()), 1957922814840636505ULL);
     EXPECT_EQ(r.eventsFired, 5014u);
     EXPECT_EQ(r.crossMessages, 2011u);
+}
+
+//
+// Stats sums: results total PrefixCacheEngineStats over engines and
+// DirectoryStats over servers with operator+=.
+//
+
+namespace {
+
+/** Fill two S with a distinct value per field, sum them, and check
+ *  every field (S is a plain struct of uint64 counters). */
+template <typename S>
+void
+expectFieldwiseSum()
+{
+    using Fields = std::array<std::uint64_t,
+                              sizeof(S) / sizeof(std::uint64_t)>;
+    Fields a{}, b{};
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        a[i] = i + 1;
+        b[i] = 1000 * (i + 1);
+    }
+    S x = std::bit_cast<S>(a);
+    x += std::bit_cast<S>(b);
+    Fields sum = std::bit_cast<Fields>(x);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(sum[i], a[i] + b[i]) << "field " << i;
+}
+
+} // anonymous namespace
+
+TEST(StatsSum, PrefixCacheEngineStatsAddsEveryField)
+{
+    expectFieldwiseSum<serve::PrefixCacheEngineStats>();
+}
+
+TEST(StatsSum, DirectoryStatsAddsEveryField)
+{
+    expectFieldwiseSum<federation::DirectoryStats>();
 }

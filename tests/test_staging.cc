@@ -27,7 +27,6 @@ tinyConfig()
     StagingEngineConfig cfg;
     cfg.coalesceThresholdBytes = 8 * mib;
     cfg.slotBytes = 2 * mib;
-    cfg.slots = 2;
     return cfg;
 }
 
@@ -201,21 +200,6 @@ TEST(StagingChunks, UniformChunksAreExactAndScattered)
     EXPECT_EQ(StagingEngine::uniformChunks(3, 100).size(), 3u);
 }
 
-TEST(StagingEngineExec, DoubleBufferingBeatsSingleSlot)
-{
-    auto completion = [](std::uint32_t slots) {
-        exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-        StagingEngineConfig cfg;
-        cfg.slots = slots;
-        StagingEngine engine(tb.server(), 0, cfg);
-        auto descs = StagingEngine::uniformChunks(256 * mib, 256);
-        return engine.transferOut(1, descs).complete;
-    };
-    // With two slots the gather for transfer N+1 overlaps the drain
-    // of transfer N; one slot serializes them.
-    EXPECT_LT(completion(2), completion(1));
-}
-
 TEST(StagingEngineExec, OverlapBeatsSequentialSumOfTransfers)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
@@ -273,10 +257,11 @@ TEST(StagingEngineExec, StagingBufferAllocatedLazily)
     engine.transferOut(1, {{0, 16 * mib}});
     EXPECT_EQ(tb.server().gpu(0).freeHbm(), before);
 
-    // Scattered payload stages: slots * slotBytes carved from HBM.
+    // Scattered payload stages: stagingSlots * slotBytes carved from
+    // HBM.
     engine.transferOut(1, StagingEngine::uniformChunks(8 * mib, 16));
     EXPECT_EQ(before - tb.server().gpu(0).freeHbm(),
-              std::uint64_t(cfg.slots) * cfg.slotBytes);
+              std::uint64_t(stagingSlots) * cfg.slotBytes);
 }
 
 TEST(StagingEngineExec, TransferInScattersAfterTheWire)
@@ -306,7 +291,7 @@ TEST(StagingEngineExec, BadConfigPanics)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
     StagingEngineConfig bad;
-    bad.slots = 0;
+    bad.slotBytes = 0;
     EXPECT_DEATH(StagingEngine(tb.server(), 0, bad), "positive");
 }
 

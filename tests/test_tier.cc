@@ -265,28 +265,6 @@ TEST(PrefetchPipeline, StreamDeliversAllBytesWithOverlap)
     EXPECT_EQ(pipe.stats().bytesStreamed, 256 * mib);
 }
 
-TEST(PrefetchPipeline, DoubleBufferingBeatsSingleBuffer)
-{
-    auto makespan = [](std::uint32_t buffers) {
-        exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-        PrefetchConfig cfg;
-        cfg.buffers = buffers;
-        PrefetchPipeline pipe(tb.server(), 0, cfg);
-        Tick complete = 0;
-        pipe.start(256 * mib, 0,
-                   [&](const PrefetchPipeline::Done &d) {
-                       complete = d.complete;
-                   });
-        tb.sim().runUntil(secToTicks(10.0));
-        return complete;
-    };
-    Tick pipelined = makespan(2);
-    Tick serial = makespan(1);
-    ASSERT_GT(pipelined, Tick(0));
-    ASSERT_GT(serial, Tick(0));
-    EXPECT_LT(pipelined, serial);
-}
-
 TEST(PrefetchPipeline, EstimateTracksMakespanAndDegradation)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);

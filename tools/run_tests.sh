@@ -5,13 +5,13 @@
 #   tools/run_tests.sh               # regular RelWithDebInfo build
 #   tools/run_tests.sh --sanitize    # ASan+UBSan build in build-asan/
 #   tools/run_tests.sh --tsan        # TSan build in build-tsan/
-#   tools/run_tests.sh --bench-smoke # + chaos/overload/cluster smoke
+#   tools/run_tests.sh --bench-smoke # + the release-bench smoke runs
 #   tools/run_tests.sh --chaos-smoke # + bounded-seed chaos-soak run
 #   tools/run_tests.sh -R Staging    # extra args forwarded to ctest
 #
 # --sanitize (or --tsan) and --bench-smoke / --chaos-smoke compose
-# (in that order): the chaos, overload, cluster-prefix and tiering
-# smoke runs then execute under the sanitizers too.
+# (in that order): the bench smoke runs then execute under the
+# sanitizers too.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,6 +46,8 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)" "$@"
 
 if [[ "$bench_smoke" == 1 ]]; then
     "$build/bench/seed_robustness" --smoke
+    "$build/bench/abl_prefix_cache" --smoke
+    "$build/bench/fig13_chatbot" --smoke
     "$build/bench/abl_overload" --smoke
     "$build/bench/abl_cluster_prefix" --smoke
     "$build/bench/abl_tiering" --smoke
