@@ -9,12 +9,16 @@
 
 #include <array>
 #include <bit>
+#include <functional>
 #include <map>
 
 #include "bench/bench_util.hh"
 #include "exp/cluster_sim.hh"
 #include "exp/experiments.hh"
+#include "exp/testbed.hh"
 #include "fault/fault.hh"
+#include "serve/uvm_backend.hh"
+#include "tier/ssd_backend.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -493,6 +497,143 @@ TEST(GoldenOutputs, ClusterSim)
     EXPECT_EQ(textDigest(json::Value(r.stats).dump()), 1957922814840636505ULL);
     EXPECT_EQ(r.eventsFired, 5014u);
     EXPECT_EQ(r.crossMessages, 2011u);
+}
+
+namespace {
+
+/** Timing digest and wire/media byte counters after one route's
+ *  calls. */
+struct RouteOutcome
+{
+    std::uint64_t timing = 0;
+    std::uint64_t hostBytes = 0;
+    std::uint64_t peerBytes = 0;
+    std::uint64_t ssdWritten = 0;
+    std::uint64_t ssdRead = 0;
+};
+
+using Move =
+    std::function<hw::TransferTiming(std::uint64_t, std::uint64_t)>;
+
+/** Two passes of out/in moves at 64 MiB and 1 GiB (1 and 64 chunks,
+ *  so per-chunk, staged and direct-ship transfers all occur); the
+ *  second pass queues behind the first's ports and staging slots. */
+RouteOutcome
+driveRoute(Testbed &tb, const Move &out, const Move &in)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t bytes : {64 * sim::mib, sim::gib}) {
+            for (std::uint64_t n : {1, 64}) {
+                for (const Move *move : {&out, &in}) {
+                    hw::TransferTiming t = (*move)(bytes, n);
+                    h = fnv(fnv(h, t.start), t.complete);
+                }
+            }
+        }
+    }
+    const hw::Topology &topo = tb.server().topology();
+    return RouteOutcome{h, topo.hostBytesMoved(), topo.peerBytesMoved(),
+                        tb.server().ssd().bytesWritten(),
+                        tb.server().ssd().bytesRead()};
+}
+
+RouteOutcome
+driveBackend(Testbed &tb, serve::OffloadBackend &backend)
+{
+    auto handle = backend.alloc(sim::gib);
+    return driveRoute(
+        tb,
+        [&](std::uint64_t b, std::uint64_t n) {
+            return backend.write(*handle, b, n);
+        },
+        [&](std::uint64_t b, std::uint64_t n) {
+            return backend.read(*handle, b, n);
+        });
+}
+
+/** AQUA-LIB tensor on a peer lease (@p lease) or in host DRAM. */
+RouteOutcome
+driveAquaLib(bool useStaging, bool lease)
+{
+    Testbed tb(2, hw::TopologyKind::DirectP2P);
+    core::AquaLibConfig cfg;
+    cfg.useStaging = useStaging;
+    core::AquaLib &lib = tb.makeAquaLib(0, nullptr, cfg);
+    tb.assign(0, 1);
+    if (lease)
+        tb.coordinator().lease(1, std::uint64_t(20) << 30);
+    auto id = lib.allocateTensor(sim::gib);
+    return driveRoute(
+        tb,
+        [&](std::uint64_t b, std::uint64_t n) {
+            return lib.writeTensor(*id, b, n);
+        },
+        [&](std::uint64_t b, std::uint64_t n) {
+            return lib.readTensor(*id, b, n);
+        });
+}
+
+void
+expectRoute(const RouteOutcome &r, std::uint64_t timing,
+            std::uint64_t hostBytes, std::uint64_t peerBytes,
+            std::uint64_t ssdWritten, std::uint64_t ssdRead)
+{
+    EXPECT_EQ(r.timing, timing);
+    EXPECT_EQ(r.hostBytes, hostBytes);
+    EXPECT_EQ(r.peerBytes, peerBytes);
+    EXPECT_EQ(r.ssdWritten, ssdWritten);
+    EXPECT_EQ(r.ssdRead, ssdRead);
+}
+
+} // anonymous namespace
+
+TEST(GoldenOutputs, OffloadRoutes)
+{
+    // Each route moves 2 passes x 2 directions x 2 chunkings x
+    // (64 MiB + 1 GiB) = 8.5 GiB.
+    {
+        Testbed tb(2, hw::TopologyKind::DirectP2P);
+        expectRoute(driveBackend(tb, tb.makeDramBackend(0)),
+                    16228452481723494361ULL, 9126805504u, 0, 0, 0);
+    }
+    {
+        Testbed tb(2, hw::TopologyKind::DirectP2P);
+        expectRoute(driveBackend(tb, tb.makeSsdBackend(0)),
+                    10287273155791882255ULL, 9126805504u, 0, 4563402752u, 4563402752u);
+    }
+    {
+        // Tier-local moves: media only, no PCIe.
+        Testbed tb(2, hw::TopologyKind::DirectP2P);
+        tier::SsdBackend &ssd = tb.makeSsdBackend(0);
+        auto handle = ssd.alloc(sim::gib);
+        RouteOutcome r = driveRoute(
+            tb,
+            [&](std::uint64_t b, std::uint64_t n) {
+                return ssd.writeFromDram(*handle, b, n);
+            },
+            [&](std::uint64_t b, std::uint64_t n) {
+                return ssd.readToDram(*handle, b, n);
+            });
+        expectRoute(r, 14547139137287390365ULL, 0, 0, 4563402752u, 4563402752u);
+    }
+    {
+        Testbed tb(2, hw::TopologyKind::DirectP2P);
+        serve::UvmBackend uvm(tb.server(), 0);
+        expectRoute(driveBackend(tb, uvm),
+                    2207773910573304293ULL, 9126805504u, 0, 0, 0);
+    }
+    // AQUA-LIB on a peer lease, staged then unstaged.
+    expectRoute(driveAquaLib(true, true),
+                7261930691231416193ULL, 0, 9126805504u, 0, 0);
+    expectRoute(driveAquaLib(false, true),
+                14551425353976656585ULL, 0, 9126805504u, 0, 0);
+    // AQUA-LIB falling back to host DRAM (no lease). Unstaged, it is
+    // the DRAM baseline's route exactly.
+    expectRoute(driveAquaLib(true, false),
+                5016590264754390015ULL, 9126805504u, 0, 0, 0);
+    expectRoute(driveAquaLib(false, false),
+                16228452481723494361ULL, 9126805504u, 0, 0, 0);
 }
 
 //
