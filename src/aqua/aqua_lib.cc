@@ -214,48 +214,6 @@ AquaLib::freeTensor(TensorId id)
 }
 
 hw::TransferTiming
-AquaLib::transferOut(const TensorRec &t, std::uint64_t bytes,
-                     std::uint64_t nChunks, Tick earliest)
-{
-    hw::Topology &topo = server.topology();
-    hw::GpuId dst = t.location.placement == Placement::PeerGpu
-                        ? t.location.gpu : hw::hostDramId;
-    if (cfg.useStaging && nChunks > 1) {
-        // Coalesce the scattered chunks into staged, double-buffered
-        // wire transfers.
-        return engine.transferOut(
-            dst, StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    if (nChunks <= 1)
-        return topo.copy(myGpu, dst, bytes, {}, earliest);
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return topo.copyChunked(myGpu, dst, chunk, nChunks, {}, earliest);
-}
-
-hw::TransferTiming
-AquaLib::transferIn(const TensorRec &t, std::uint64_t bytes,
-                    std::uint64_t nChunks, Tick earliest)
-{
-    hw::Topology &topo = server.topology();
-    hw::GpuId src = t.location.placement == Placement::PeerGpu
-                        ? t.location.gpu : hw::hostDramId;
-    if (cfg.useStaging && nChunks > 1) {
-        return engine.transferIn(
-            src, StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    if (nChunks <= 1)
-        return topo.copy(src, myGpu, bytes, {}, earliest);
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return topo.copyChunked(src, myGpu, chunk, nChunks, {}, earliest);
-}
-
-hw::TransferTiming
 AquaLib::writeTensor(TensorId id, std::uint64_t bytes,
                      std::uint64_t nChunks, Tick earliest)
 {
@@ -268,11 +226,15 @@ AquaLib::writeTensor(TensorId id, std::uint64_t bytes,
     // this value unchanged.
     t.signature = foldSignature(t.signature, bytes);
     t.signature = foldSignature(t.signature, nChunks);
-    if (t.location.placement == Placement::PeerGpu)
+    hw::GpuId dst = hw::hostDramId;
+    if (t.location.placement == Placement::PeerGpu) {
+        dst = t.location.gpu;
         counters.bytesToPeer += bytes;
-    else
+    } else {
         counters.bytesToDram += bytes;
-    return transferOut(t, bytes, nChunks, earliest);
+    }
+    return scatteredCopy(server.topology(), myGpu, dst, bytes, nChunks,
+                         stager(), earliest);
 }
 
 hw::TransferTiming
@@ -284,11 +246,15 @@ AquaLib::readTensor(TensorId id, std::uint64_t bytes,
         panic("AquaLib::readTensor: read of %llu exceeds tensor size "
               "%llu", static_cast<unsigned long long>(bytes),
               static_cast<unsigned long long>(t.bytes));
-    if (t.location.placement == Placement::PeerGpu)
+    hw::GpuId src = hw::hostDramId;
+    if (t.location.placement == Placement::PeerGpu) {
+        src = t.location.gpu;
         counters.bytesFromPeer += bytes;
-    else
+    } else {
         counters.bytesFromDram += bytes;
-    return transferIn(t, bytes, nChunks, earliest);
+    }
+    return scatteredCopy(server.topology(), src, myGpu, bytes, nChunks,
+                         stager(), earliest);
 }
 
 aqua::sim::Tick
@@ -752,23 +718,8 @@ AquaLib::readPeerPrefix(hw::GpuId home, std::uint64_t bytes,
 {
     counters.prefixRemoteReadBytes += bytes;
     counters.bytesFromPeer += bytes;
-    if (cfg.useStaging) {
-        return engine.transferIn(
-            home, StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    // Unstaged: one per-block copy after another.
-    hw::Topology &topo = server.topology();
-    std::uint64_t chunk = nChunks ? bytes / nChunks : bytes;
-    hw::TransferTiming total{0, earliest};
-    for (std::uint64_t i = 0; i < nChunks; ++i) {
-        hw::TransferTiming t =
-            topo.copy(home, myGpu, chunk, {}, total.complete);
-        if (i == 0)
-            total.start = t.start;
-        total.complete = t.complete;
-    }
-    return total;
+    return scatteredCopy(server.topology(), home, myGpu, bytes, nChunks,
+                         stager(), earliest);
 }
 
 AquaLib::FederationLookupOutcome

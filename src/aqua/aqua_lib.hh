@@ -293,8 +293,9 @@ class AquaLib
 
     /**
      * Stream @p bytes of a pinned home chain from @p home into
-     * @p nChunks scattered local cache blocks through the staging
-     * engine (the NVLink bandwidth ramp applies).
+     * @p nChunks scattered local cache blocks, through the staging
+     * engine when useStaging is on (the NVLink bandwidth ramp
+     * applies).
      */
     hw::TransferTiming readPeerPrefix(hw::GpuId home,
                                       std::uint64_t bytes,
@@ -470,14 +471,9 @@ class AquaLib
     const TensorRec &rec(TensorId id) const;
     TensorRec &rec(TensorId id);
 
-    hw::TransferTiming transferOut(const TensorRec &t,
-                                   std::uint64_t bytes,
-                                   std::uint64_t nChunks,
-                                   aqua::sim::Tick earliest);
-    hw::TransferTiming transferIn(const TensorRec &t,
-                                  std::uint64_t bytes,
-                                  std::uint64_t nChunks,
-                                  aqua::sim::Tick earliest);
+    /** The staging engine when useStaging is on, else nullptr
+     *  (per-chunk copies). */
+    StagingEngine *stager() { return cfg.useStaging ? &engine : nullptr; }
 
     /** One step of the startHeartbeats() loop. */
     void scheduleHeartbeat(aqua::sim::Tick until);

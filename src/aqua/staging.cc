@@ -15,15 +15,9 @@ StagingModel::gatherTime(std::uint64_t bytes) const
     return spec.kernelLaunchOverhead + secToTicks(sec);
 }
 
-StagingEngine::StagingEngine(hw::Server &server, hw::GpuId gpu,
-                             StagingEngineConfig config)
-    : server(server), gpu(gpu), cfg(config),
-      model(server.gpu(gpu).spec())
+StagingEngine::StagingEngine(hw::Server &server, hw::GpuId gpu)
+    : server(server), gpu(gpu), model(server.gpu(gpu).spec())
 {
-    if (cfg.slotBytes == 0 || cfg.coalesceThresholdBytes == 0) {
-        panic("StagingEngine(gpu%d): slot size and coalescing "
-              "threshold must be positive", gpu);
-    }
 }
 
 StagingEngine::~StagingEngine()
@@ -38,11 +32,11 @@ StagingEngine::ensureStagingBuffer()
     if (stagingRegion)
         return;
     stagingRegion = server.gpu(gpu).hbm().allocate(
-        std::uint64_t(stagingSlots) * cfg.slotBytes);
+        std::uint64_t(stagingSlots) * slotBytes);
     if (!stagingRegion) {
         panic("StagingEngine(gpu%d): no HBM for a %u x %llu staging "
               "buffer", gpu, stagingSlots,
-              static_cast<unsigned long long>(cfg.slotBytes));
+              static_cast<unsigned long long>(slotBytes));
     }
 }
 
@@ -117,7 +111,7 @@ StagingEngine::plan(const std::vector<CopyDesc> &descs) const
     };
 
     for (const Run &r : runs) {
-        if (r.bytes >= cfg.coalesceThresholdBytes) {
+        if (r.bytes >= coalesceThresholdBytes) {
             // Flush first so wire order follows descriptor order.
             flush();
             out.push_back(
@@ -130,7 +124,7 @@ StagingEngine::plan(const std::vector<CopyDesc> &descs) const
         while (left > 0) {
             if (batchFragments == 0)
                 batch.offset = off;
-            std::uint64_t room = cfg.slotBytes - batch.bytes;
+            std::uint64_t room = slotBytes - batch.bytes;
             std::uint64_t take = left < room ? left : room;
             batch.bytes += take;
             batch.descCount += firstFragment ? r.descs : 1;
@@ -138,7 +132,7 @@ StagingEngine::plan(const std::vector<CopyDesc> &descs) const
             off += take;
             left -= take;
             firstFragment = false;
-            if (batch.bytes == cfg.slotBytes)
+            if (batch.bytes == slotBytes)
                 flush();
         }
     }
@@ -224,6 +218,29 @@ StagingEngine::transferIn(hw::GpuId src,
                           Tick earliest)
 {
     return execute(src, /*outbound=*/false, plan(descs), earliest);
+}
+
+hw::TransferTiming
+scatteredCopy(hw::Topology &topo, hw::GpuId src, hw::GpuId dst,
+              std::uint64_t bytes, std::uint64_t nChunks,
+              StagingEngine *engine, Tick earliest)
+{
+    if (nChunks <= 1)
+        return topo.copy(src, dst, bytes, {}, earliest);
+    if (engine) {
+        std::vector<CopyDesc> descs =
+            StagingEngine::uniformChunks(bytes, nChunks);
+        if (src == engine->localGpu())
+            return engine->transferOut(dst, descs, earliest);
+        if (dst == engine->localGpu())
+            return engine->transferIn(src, descs, earliest);
+        panic("scatteredCopy: staging engine on gpu%d is neither "
+              "endpoint (%d -> %d)", engine->localGpu(), src, dst);
+    }
+    std::uint64_t chunk = bytes / nChunks;
+    if (chunk == 0)
+        chunk = 1;
+    return topo.copyChunked(src, dst, chunk, nChunks, {}, earliest);
 }
 
 } // namespace aqua::core

@@ -86,22 +86,19 @@ struct StagedTransfer
     bool staged = false;
 };
 
-/** Tunables of the staging engine. */
-struct StagingEngineConfig
-{
-    /**
-     * Coalescing threshold: descriptors at or above this size are
-     * already in the link's high-bandwidth regime and ship directly,
-     * skipping the gather kernel and the staging buffer.
-     */
-    std::uint64_t coalesceThresholdBytes = std::uint64_t(8) << 20;
+/**
+ * Coalescing threshold: runs at or above this size are already in the
+ * link's high-bandwidth regime and ship directly, skipping the gather
+ * kernel and the staging buffer.
+ */
+inline constexpr std::uint64_t coalesceThresholdBytes =
+    std::uint64_t(8) << 20;
 
-    /**
-     * Staging slot size; staged transfers are split at this size so a
-     * batch never overruns its slot.
-     */
-    std::uint64_t slotBytes = std::uint64_t(32) << 20;
-};
+/**
+ * Staging slot size; staged transfers are split at this size so a
+ * batch never overruns its slot.
+ */
+inline constexpr std::uint64_t slotBytes = std::uint64_t(32) << 20;
 
 /**
  * Number of staging slots: classic double buffering, the gather for
@@ -134,11 +131,11 @@ struct StagingTransferStats
  * Plans and executes coalesced, double-buffered scatter/gather
  * transfers between one GPU and a peer GPU or host DRAM.
  *
- * The staging buffer (stagingSlots * slotBytes) is carved from the GPU's HBM
- * lazily, on the first staged transfer. Slot reuse is tracked across
- * calls: a slot is free again once the transfer that drained it (or
- * the scatter that emptied it) has completed, which is what lets a
- * later gather overlap an earlier drain.
+ * The staging buffer (stagingSlots * slotBytes) is carved from the
+ * GPU's HBM lazily, on the first staged transfer. Slot reuse is
+ * tracked across calls: a slot is free again once the transfer that
+ * drained it (or the scatter that emptied it) has completed, which is
+ * what lets a later gather overlap an earlier drain.
  */
 class StagingEngine
 {
@@ -146,17 +143,17 @@ class StagingEngine
     /**
      * @param server Owning server (topology + GPUs).
      * @param gpu The engine's local GPU.
-     * @param config Tunables.
      */
-    StagingEngine(hw::Server &server, hw::GpuId gpu,
-                  StagingEngineConfig config = {});
+    StagingEngine(hw::Server &server, hw::GpuId gpu);
 
     StagingEngine(const StagingEngine &) = delete;
     StagingEngine &operator=(const StagingEngine &) = delete;
     ~StagingEngine();
 
-    const StagingEngineConfig &config() const { return cfg; }
     const StagingTransferStats &stats() const { return counters; }
+
+    /** The engine's local GPU. */
+    hw::GpuId localGpu() const { return gpu; }
 
     /**
      * Pure planning: coalesce @p descs into wire transfers.
@@ -208,7 +205,6 @@ class StagingEngine
 
     hw::Server &server;
     hw::GpuId gpu;
-    StagingEngineConfig cfg;
     StagingModel model;
     /** Staging buffer on local HBM (allocated lazily). */
     std::optional<aqua::mem::Region> stagingRegion;
@@ -217,6 +213,25 @@ class StagingEngine
     std::uint64_t nextSlot = 0;
     StagingTransferStats counters;
 };
+
+/**
+ * Move @p bytes scattered over @p nChunks blocks from @p src to
+ * @p dst — the one place the §5 choice between transfer shapes is
+ * made, for every offload store. A contiguous payload (nChunks <= 1)
+ * is one copy; with a staging @p engine the blocks coalesce through
+ * it (gather when @p src is the engine's GPU, scatter when @p dst
+ * is); without one, each block is its own copy.
+ *
+ * @param topo The route's topology.
+ * @param engine Staging engine on one endpoint's GPU, or nullptr for
+ *               per-chunk copies.
+ * @param earliest Do not start before this tick; 0 means "now".
+ */
+hw::TransferTiming scatteredCopy(hw::Topology &topo, hw::GpuId src,
+                                 hw::GpuId dst, std::uint64_t bytes,
+                                 std::uint64_t nChunks,
+                                 StagingEngine *engine,
+                                 aqua::sim::Tick earliest = 0);
 
 } // namespace aqua::core
 

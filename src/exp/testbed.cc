@@ -47,20 +47,18 @@ Testbed::makeAquaLib(hw::GpuId gpu,
 }
 
 serve::DramBackend &
-Testbed::makeDramBackend(hw::GpuId gpu, serve::DramBackendConfig config)
+Testbed::makeDramBackend(hw::GpuId gpu)
 {
-    auto backend =
-        std::make_unique<serve::DramBackend>(*srv, gpu, config);
+    auto backend = std::make_unique<serve::DramBackend>(*srv, gpu);
     serve::DramBackend &ref = *backend;
     backends.push_back(std::move(backend));
     return ref;
 }
 
 tier::SsdBackend &
-Testbed::makeSsdBackend(hw::GpuId gpu, tier::SsdBackendConfig config)
+Testbed::makeSsdBackend(hw::GpuId gpu)
 {
-    auto backend =
-        std::make_unique<tier::SsdBackend>(*srv, gpu, config);
+    auto backend = std::make_unique<tier::SsdBackend>(*srv, gpu);
     tier::SsdBackend &ref = *backend;
     backends.push_back(std::move(backend));
     return ref;

@@ -82,16 +82,13 @@ class Testbed
                 core::AquaLibConfig config = {});
 
     /** Create (and own) a DRAM offload backend for a GPU. */
-    serve::DramBackend &
-    makeDramBackend(hw::GpuId gpu,
-                    serve::DramBackendConfig config = {});
+    serve::DramBackend &makeDramBackend(hw::GpuId gpu);
 
     /** Create (and own) an AQUA offload backend over a library. */
     serve::AquaBackend &makeAquaBackend(core::AquaLib &lib);
 
     /** Create (and own) an SSD offload backend for a GPU. */
-    tier::SsdBackend &
-    makeSsdBackend(hw::GpuId gpu, tier::SsdBackendConfig config = {});
+    tier::SsdBackend &makeSsdBackend(hw::GpuId gpu);
 
     /** Statically pair a consumer GPU with a producer GPU. */
     void assign(hw::GpuId consumer, hw::GpuId producer);

@@ -1,15 +1,14 @@
 #include "serve/offload_backend.hh"
 
+#include "aqua/staging.hh"
 #include "sim/logging.hh"
 
 namespace aqua::serve {
 
 using namespace aqua::sim;
 
-DramBackend::DramBackend(hw::Server &server, hw::GpuId gpu,
-                         DramBackendConfig config)
-    : server(server), gpu(gpu), cfg(config),
-      engine(server, gpu)
+DramBackend::DramBackend(hw::Server &server, hw::GpuId gpu)
+    : server(server), gpu(gpu)
 {
 }
 
@@ -49,22 +48,8 @@ DramBackend::write(const Handle &handle, std::uint64_t bytes,
 {
     if (bytes > handle.bytes)
         panic("DramBackend::write beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(gpu, hw::hostDramId, bytes, {},
-                                      earliest);
-    if (cfg.useStaging) {
-        // Coalesce the scattered chunks through the pinned staging
-        // buffer instead of paying the per-chunk PCIe cost.
-        return engine.transferOut(
-            hw::hostDramId,
-            core::StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return server.topology().copyChunked(gpu, hw::hostDramId, chunk,
-                                         nChunks, {}, earliest);
+    return core::scatteredCopy(server.topology(), gpu, hw::hostDramId,
+                               bytes, nChunks, nullptr, earliest);
 }
 
 hw::TransferTiming
@@ -73,20 +58,8 @@ DramBackend::read(const Handle &handle, std::uint64_t bytes,
 {
     if (bytes > handle.bytes)
         panic("DramBackend::read beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(hw::hostDramId, gpu, bytes, {},
-                                      earliest);
-    if (cfg.useStaging) {
-        return engine.transferIn(
-            hw::hostDramId,
-            core::StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return server.topology().copyChunked(hw::hostDramId, gpu, chunk,
-                                         nChunks, {}, earliest);
+    return core::scatteredCopy(server.topology(), hw::hostDramId, gpu,
+                               bytes, nChunks, nullptr, earliest);
 }
 
 Tick

@@ -92,20 +92,9 @@ class OffloadBackend
     virtual std::string name() const = 0;
 };
 
-/** DRAM-backend tunables. */
-struct DramBackendConfig
-{
-    /**
-     * Route scattered (nChunks > 1) accesses through the staging
-     * engine: chunks coalesce into pinned-staging-buffer transfers
-     * instead of per-chunk PCIe copies. Off by default — the paper's
-     * baseline pays the per-chunk cost.
-     */
-    bool useStaging = false;
-};
-
 /**
- * Host-DRAM offloading over PCIe — the baseline (§2.2).
+ * Host-DRAM offloading over PCIe — the baseline (§2.2): scattered
+ * chunks cross PCIe one copy each, unstaged.
  */
 class DramBackend : public OffloadBackend
 {
@@ -113,10 +102,8 @@ class DramBackend : public OffloadBackend
     /**
      * @param server Owning server (DRAM + topology).
      * @param gpu The engine's GPU.
-     * @param config Tunables.
      */
-    DramBackend(hw::Server &server, hw::GpuId gpu,
-                DramBackendConfig config = {});
+    DramBackend(hw::Server &server, hw::GpuId gpu);
     ~DramBackend() override;
 
     std::optional<Handle> alloc(std::uint64_t bytes) override;
@@ -128,20 +115,14 @@ class DramBackend : public OffloadBackend
                             std::uint64_t nChunks,
                             aqua::sim::Tick earliest = 0) override;
     aqua::sim::Tick respond() override;
-    bool staged() const override { return cfg.useStaging; }
+    bool staged() const override { return false; }
     std::string name() const override { return "dram"; }
 
-    /** Staging-engine accounting (all zero when staging is off). */
-    const core::StagingTransferStats &stagingStats() const
-    {
-        return engine.stats();
-    }
-
-  private:
+  protected:
     hw::Server &server;
     hw::GpuId gpu;
-    DramBackendConfig cfg;
-    core::StagingEngine engine;
+
+  private:
     std::uint64_t nextId = 1;
     std::map<std::uint64_t, aqua::mem::Region> regions;
 };

@@ -4,10 +4,10 @@
  *
  * Same contract as DramBackend, one tier further down: GPU-side writes
  * cross PCIe into DRAM and drain onto the media behind it; reads pay
- * the media time first and then the PCIe hop up. Scattered chunks can
- * route through the staging engine exactly like the DRAM path —
- * coalescing matters twice here because small accesses sit on the slow
- * end of both the PCIe ramp and the drive's sequential-vs-random ramp.
+ * the media time first and then the PCIe hop up. Scattered chunks
+ * always route through the staging engine — coalescing matters twice
+ * here because small accesses sit on the slow end of both the PCIe
+ * ramp and the drive's sequential-vs-random ramp.
  *
  * The tier-local move methods (DRAM↔SSD) exist for the TierManager:
  * demoting a parked session's KV out of DRAM touches only the media,
@@ -29,18 +29,6 @@
 
 namespace aqua::tier {
 
-/** SSD-backend tunables. */
-struct SsdBackendConfig
-{
-    /**
-     * Route scattered (nChunks > 1) accesses through the staging
-     * engine. Defaults on: per-chunk random I/O is the worst case for
-     * flash, so the coalesced path is the sensible default here even
-     * though the DRAM baseline ships unstaged.
-     */
-    bool useStaging = true;
-};
-
 /**
  * Offloading to the server's SSD through host DRAM.
  */
@@ -50,10 +38,8 @@ class SsdBackend : public serve::OffloadBackend
     /**
      * @param server Owning server (SSD + DRAM + topology).
      * @param gpu The engine's GPU.
-     * @param config Tunables.
      */
-    SsdBackend(hw::Server &server, hw::GpuId gpu,
-               SsdBackendConfig config = {});
+    SsdBackend(hw::Server &server, hw::GpuId gpu);
     ~SsdBackend() override;
 
     std::optional<Handle> alloc(std::uint64_t bytes) override;
@@ -65,7 +51,7 @@ class SsdBackend : public serve::OffloadBackend
                             std::uint64_t nChunks,
                             aqua::sim::Tick earliest = 0) override;
     aqua::sim::Tick respond() override;
-    bool staged() const override { return cfg.useStaging; }
+    bool staged() const override { return true; }
     std::string name() const override { return "ssd"; }
 
     /**
@@ -87,20 +73,15 @@ class SsdBackend : public serve::OffloadBackend
     hw::Ssd &device() { return server.ssd(); }
     const hw::Ssd &device() const { return server.ssd(); }
 
-    /** Staging-engine accounting (all zero when staging is off). */
+    /** Staging-engine accounting. */
     const core::StagingTransferStats &stagingStats() const
     {
         return engine.stats();
     }
 
   private:
-    /** Chunk size for an nChunks-way scattered access. */
-    static std::uint64_t chunkSize(std::uint64_t bytes,
-                                   std::uint64_t nChunks);
-
     hw::Server &server;
     hw::GpuId gpu;
-    SsdBackendConfig cfg;
     core::StagingEngine engine;
     std::uint64_t nextId = 1;
     std::map<std::uint64_t, aqua::mem::Region> regions;

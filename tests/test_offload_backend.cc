@@ -83,100 +83,3 @@ TEST(AquaBackend, HandleMapsToTensor)
     aqua.free(*handle);
     EXPECT_EQ(lib.ownedTensors(), 0u);
 }
-
-TEST(DramBackend, StagedWritesRouteThroughStagingEngine)
-{
-    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    DramBackendConfig cfg;
-    cfg.useStaging = true;
-    DramBackend &backend = tb.makeDramBackend(0, cfg);
-    auto handle = backend.alloc(64 * mib);
-    backend.write(*handle, 64 * mib, 64);
-
-    const core::StagingTransferStats &s = backend.stagingStats();
-    EXPECT_TRUE(backend.staged());
-    EXPECT_GT(s.stagedTransfers, 0u);
-    EXPECT_EQ(s.coalescedDescriptors, 64u);
-    EXPECT_EQ(s.bytesMoved, 64 * mib);
-    backend.free(*handle);
-}
-
-TEST(DramBackend, StagedAndUnstagedMoveIdenticalBytes)
-{
-    // Same bulk KV fetch in two separate testbeds; the wire-level byte
-    // totals must match exactly — staging changes timing, not payload.
-    auto hostBytes = [](bool staged) {
-        exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-        DramBackendConfig cfg;
-        cfg.useStaging = staged;
-        DramBackend &backend = tb.makeDramBackend(0, cfg);
-        auto handle = backend.alloc(96 * mib);
-        backend.write(*handle, 96 * mib, 96);
-        backend.read(*handle, 96 * mib, 96);
-        backend.free(*handle);
-        return tb.server().topology().hostBytesMoved();
-    };
-    EXPECT_EQ(hostBytes(true), hostBytes(false));
-}
-
-TEST(DramBackend, StagedReadBeatsPerChunkRead)
-{
-    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    DramBackendConfig stagedCfg;
-    stagedCfg.useStaging = true;
-    DramBackend &staged = tb.makeDramBackend(0, stagedCfg);
-    DramBackend &plain = tb.makeDramBackend(1);
-
-    std::uint64_t bytes = 128 * mib;
-    auto hs = staged.alloc(bytes);
-    auto hp = plain.alloc(bytes);
-    hw::TransferTiming ts = staged.read(*hs, bytes, 256);
-    hw::TransferTiming tp = plain.read(*hp, bytes, 256);
-    // 256 scattered 512 KiB blocks over PCIe pay the sub-ramp
-    // bandwidth per block; coalescing into 32 MiB DMAs does not.
-    EXPECT_LT(ts.complete - ts.start, tp.complete - tp.start);
-    staged.free(*hs);
-    plain.free(*hp);
-}
-
-TEST(UvmBackend, CoalescedPrefetchRoutesThroughStagingEngine)
-{
-    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    UvmBackendConfig cfg;
-    cfg.coalescePrefetch = true;
-    UvmBackend uvm(tb.server(), 0, cfg);
-    auto handle = uvm.alloc(64 * mib);
-    uvm.read(*handle, 64 * mib, 1);
-
-    const core::StagingTransferStats &s = uvm.stagingStats();
-    EXPECT_TRUE(uvm.staged());
-    EXPECT_GT(s.stagedTransfers, 0u);
-    EXPECT_EQ(s.coalescedDescriptors, 64 * mib / cfg.pageBytes);
-    EXPECT_EQ(s.bytesMoved, 64 * mib);
-    uvm.free(*handle);
-}
-
-TEST(UvmBackend, CoalescedPrefetchKeepsBytesAndFaults)
-{
-    auto run = [](bool coalesce, std::uint64_t &bytesOut,
-                  std::uint64_t &faultsOut) {
-        exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-        UvmBackendConfig cfg;
-        cfg.coalescePrefetch = coalesce;
-        UvmBackend uvm(tb.server(), 0, cfg);
-        auto handle = uvm.alloc(32 * mib);
-        hw::TransferTiming t = uvm.read(*handle, 32 * mib, 1);
-        bytesOut = tb.server().topology().hostBytesMoved();
-        faultsOut = uvm.faultCount();
-        uvm.free(*handle);
-        return t.complete - t.start;
-    };
-    std::uint64_t coalescedBytes = 0, coalescedFaults = 0;
-    std::uint64_t pagedBytes = 0, pagedFaults = 0;
-    Tick coalesced = run(true, coalescedBytes, coalescedFaults);
-    Tick paged = run(false, pagedBytes, pagedFaults);
-    // Coalescing merges DMAs but neither drops bytes nor hides faults.
-    EXPECT_EQ(coalescedBytes, pagedBytes);
-    EXPECT_EQ(coalescedFaults, pagedFaults);
-    EXPECT_LT(coalesced, paged);
-}

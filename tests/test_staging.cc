@@ -20,16 +20,6 @@ using namespace aqua::core;
 
 namespace {
 
-/** A small-slot config that makes splits easy to reason about. */
-StagingEngineConfig
-tinyConfig()
-{
-    StagingEngineConfig cfg;
-    cfg.coalesceThresholdBytes = 8 * mib;
-    cfg.slotBytes = 2 * mib;
-    return cfg;
-}
-
 std::uint64_t
 totalBytes(const std::vector<CopyDesc> &descs)
 {
@@ -53,7 +43,7 @@ totalBytes(const std::vector<StagedTransfer> &plan)
 TEST(StagingPlan, AdjacentBlocksMergeIntoDirectTransfer)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngine engine(tb.server(), 0, tinyConfig());
+    StagingEngine engine(tb.server(), 0);
     // Three contiguous 64 KiB blocks: one flat region, no gather.
     std::vector<CopyDesc> descs = {
         {0, 64 * kib}, {64 * kib, 64 * kib}, {128 * kib, 64 * kib}};
@@ -68,40 +58,43 @@ TEST(StagingPlan, AdjacentBlocksMergeIntoDirectTransfer)
 TEST(StagingPlan, ScatteredSmallBlocksCoalesceIntoStagedTransfers)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngine engine(tb.server(), 0, tinyConfig());
-    // 12 scattered 512 KiB blocks pack into 2 MiB slots: 3 staged
-    // transfers of 4 blocks each.
-    auto descs = StagingEngine::uniformChunks(6 * mib, 12);
+    StagingEngine engine(tb.server(), 0);
+    // 48 scattered 2 MiB blocks pack into 32 MiB slots: 3 staged
+    // transfers of 16 blocks each.
+    auto descs = StagingEngine::uniformChunks(96 * mib, 48);
     auto plan = engine.plan(descs);
     ASSERT_EQ(plan.size(), 3u);
     for (const StagedTransfer &t : plan) {
         EXPECT_TRUE(t.staged);
-        EXPECT_EQ(t.bytes, 2 * mib);
-        EXPECT_EQ(t.descCount, 4u);
+        EXPECT_EQ(t.bytes, slotBytes);
+        EXPECT_EQ(t.descCount, 16u);
     }
 }
 
 TEST(StagingPlan, SplitAtSlotSize)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngine engine(tb.server(), 0, tinyConfig());
-    // Scattered blocks worth 7 MiB: staged transfers never exceed the
-    // 2 MiB slot, and the tail carries the remainder.
-    auto descs = StagingEngine::uniformChunks(7 * mib, 14);
+    StagingEngine engine(tb.server(), 0);
+    // 37 scattered 3 MiB blocks (111 MiB): blocks straddling a slot
+    // boundary split, staged transfers never exceed the 32 MiB slot,
+    // and the tail carries the remainder.
+    auto descs = StagingEngine::uniformChunks(111 * mib, 37);
     auto plan = engine.plan(descs);
-    EXPECT_EQ(totalBytes(plan), 7 * mib);
+    EXPECT_EQ(totalBytes(plan), 111 * mib);
     for (const StagedTransfer &t : plan) {
-        if (t.staged)
-            EXPECT_LE(t.bytes, 2 * mib);
+        EXPECT_TRUE(t.staged);
+        EXPECT_LE(t.bytes, slotBytes);
     }
-    EXPECT_GE(plan.size(), 4u);
+    ASSERT_EQ(plan.size(), 4u);
+    EXPECT_EQ(plan.back().bytes, 111 * mib - 3 * slotBytes);
 }
 
 TEST(StagingPlan, LargeBlocksShipDirect)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngine engine(tb.server(), 0, tinyConfig());
+    StagingEngine engine(tb.server(), 0);
     // A block at the coalescing threshold skips staging entirely.
+    ASSERT_EQ(coalesceThresholdBytes, 8 * mib);
     std::vector<CopyDesc> descs = {{0, 8 * mib}};
     auto plan = engine.plan(descs);
     ASSERT_EQ(plan.size(), 1u);
@@ -112,7 +105,7 @@ TEST(StagingPlan, LargeBlocksShipDirect)
 TEST(StagingPlan, MixedSizesPreserveDescriptorOrder)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngine engine(tb.server(), 0, tinyConfig());
+    StagingEngine engine(tb.server(), 0);
     // small, small, LARGE, small: the pending batch flushes before
     // the direct transfer so wire order follows descriptor order.
     std::vector<CopyDesc> descs = {{0, 256 * kib},
@@ -134,7 +127,7 @@ TEST(StagingPlan, MixedSizesPreserveDescriptorOrder)
 TEST(StagingPlan, ZeroByteDescriptorsAreDropped)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngine engine(tb.server(), 0, tinyConfig());
+    StagingEngine engine(tb.server(), 0);
     std::vector<CopyDesc> descs = {{0, 0}, {mib, 64 * kib}, {9 * mib, 0}};
     auto plan = engine.plan(descs);
     ASSERT_EQ(plan.size(), 1u);
@@ -145,10 +138,10 @@ TEST(StagingPlan, ZeroByteDescriptorsAreDropped)
 TEST(StagingPlan, RandomizedNoLostOrDuplicatedBytes)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngine engine(tb.server(), 0, tinyConfig());
+    StagingEngine engine(tb.server(), 0);
     std::mt19937_64 rng(42); // fixed seed: reproducible
     std::uniform_int_distribution<std::uint64_t> sizeDist(1,
-                                                          3 * mib);
+                                                          6 * mib);
     std::uniform_int_distribution<std::uint64_t> gapDist(0, mib);
     for (int round = 0; round < 50; ++round) {
         std::vector<CopyDesc> descs;
@@ -170,7 +163,7 @@ TEST(StagingPlan, RandomizedNoLostOrDuplicatedBytes)
             EXPECT_GE(t.bytes, 1u);
             EXPECT_GE(t.descCount, 1u);
             if (t.staged) {
-                EXPECT_LE(t.bytes, engine.config().slotBytes);
+                EXPECT_LE(t.bytes, slotBytes);
             }
             if (!first) {
                 EXPECT_GT(t.offset, prevOffset);
@@ -249,8 +242,7 @@ TEST(StagingEngineExec, StatsAccountEveryWireTransfer)
 TEST(StagingEngineExec, StagingBufferAllocatedLazily)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngineConfig cfg;
-    StagingEngine engine(tb.server(), 0, cfg);
+    StagingEngine engine(tb.server(), 0);
     std::uint64_t before = tb.server().gpu(0).freeHbm();
 
     // Contiguous payload ships direct: no buffer needed.
@@ -261,7 +253,7 @@ TEST(StagingEngineExec, StagingBufferAllocatedLazily)
     // HBM.
     engine.transferOut(1, StagingEngine::uniformChunks(8 * mib, 16));
     EXPECT_EQ(before - tb.server().gpu(0).freeHbm(),
-              std::uint64_t(stagingSlots) * cfg.slotBytes);
+              std::uint64_t(stagingSlots) * slotBytes);
 }
 
 TEST(StagingEngineExec, TransferInScattersAfterTheWire)
@@ -287,12 +279,17 @@ TEST(StagingEngineExec, EarliestPropagates)
     EXPECT_GE(t.start, secToTicks(1.0));
 }
 
-TEST(StagingEngineExec, BadConfigPanics)
+TEST(StagingEngineExec, NoHbmForStagingBufferPanics)
 {
+    // The staging buffer is carved lazily; a GPU whose HBM is already
+    // full cannot stage, and says so instead of overrunning memory.
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    StagingEngineConfig bad;
-    bad.slotBytes = 0;
-    EXPECT_DEATH(StagingEngine(tb.server(), 0, bad), "positive");
+    StagingEngine engine(tb.server(), 0);
+    ASSERT_TRUE(tb.server().gpu(0).hbm().allocate(
+        tb.server().gpu(0).freeHbm()));
+    EXPECT_DEATH(
+        engine.transferOut(1, StagingEngine::uniformChunks(8 * mib, 16)),
+        "no HBM");
 }
 
 TEST(StagingEngineExec, BackToBackTransfersQueueOnSlotReuse)

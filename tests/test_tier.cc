@@ -126,7 +126,7 @@ TEST(SsdBackend, GpuReadPaysMediaOnTopOfPcie)
 TEST(SsdBackend, ScatteredAccessesRouteThroughStaging)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    SsdBackend &ssd = tb.makeSsdBackend(0); // useStaging defaults on
+    SsdBackend &ssd = tb.makeSsdBackend(0); // always staged
     auto handle = ssd.alloc(64 * mib);
     ssd.read(*handle, 64 * mib, 64);
     EXPECT_TRUE(ssd.staged());

@@ -30,10 +30,9 @@ TEST(UvmBackend, AllocatesFromHostDram)
 TEST(UvmBackend, CountsFaultWavefronts)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    UvmBackendConfig cfg;
-    cfg.pageBytes = 2 * mib;
-    cfg.prefetchDegree = 8;
-    UvmBackend uvm(tb.server(), 0, cfg);
+    UvmBackend uvm(tb.server(), 0);
+    ASSERT_EQ(uvmPageBytes, 2 * mib);
+    ASSERT_EQ(uvmPrefetchDegree, 8u);
     auto handle = uvm.alloc(64 * mib);
     uvm.read(*handle, 64 * mib, 1); // 32 pages, 4 wavefronts
     EXPECT_EQ(uvm.faultCount(), 4u);
@@ -65,7 +64,4 @@ TEST(UvmBackend, MiscContracts)
     EXPECT_FALSE(uvm.staged());
     EXPECT_EQ(uvm.name(), "uvm");
     EXPECT_EQ(uvm.respond(), tb.sim().now());
-    UvmBackendConfig bad;
-    bad.pageBytes = 0;
-    EXPECT_DEATH(UvmBackend(tb.server(), 0, bad), "positive");
 }

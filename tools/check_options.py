@@ -9,7 +9,9 @@ assigns is a constant posing as an option: make it a named constant
 where it is used instead.
 
 Fields are matched by name, so a name shared by two structs counts
-the assignments of both.
+the assignments of both: one struct's never-assigned field can hide
+behind another's assignments. The summary counts such fields and
+``--list`` names them, next to the test-only ones.
 
 Usage: tools/check_options.py [--list]
 Exits 1 if any field is never assigned.
@@ -138,13 +140,20 @@ def main(argv):
     never = [f for f in fields if total[f[1]] == 0]
     test_only = [f for f in fields
                  if total[f[1]] > 0 and outside_tests[f[1]] == 0]
+    declarers = {}
+    for struct, name, path in fields:
+        declarers.setdefault(name, set()).add((struct, path))
+    shared = [f for f in fields if len(declarers[f[1]]) > 1]
     structs = len({(f[0], f[2]) for f in fields})
     print("option fields: %d in %d structs" % (len(fields), structs))
     print("never assigned: %d" % len(never))
     print("assigned only by tests: %d" % len(test_only))
+    print("names shared with another struct: %d" % len(shared))
     if "--list" in argv:
         for struct, name, path in test_only:
             print("  test-only  %s::%s (%s)" % (struct, name, path))
+        for struct, name, path in shared:
+            print("  shared name  %s::%s (%s)" % (struct, name, path))
     for struct, name, path in never:
         print("  never assigned  %s::%s (%s)" % (struct, name, path))
     return 1 if never else 0

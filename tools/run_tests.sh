@@ -53,6 +53,9 @@ if [[ "$bench_smoke" == 1 ]]; then
     "$build/bench/abl_tiering" --smoke
     "$build/bench/abl_kv_quant" --smoke
     "$build/bench/abl_federation" --smoke
+    "$build/bench/abl_offload_paths"
+    "$build/bench/fig03_interconnect"
+    "$build/bench/abl_interconnect_gen"
 fi
 
 if [[ "$chaos_smoke" == 1 ]]; then
