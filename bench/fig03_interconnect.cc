@@ -40,7 +40,7 @@ scatteredWorkloadTime(bool staged, std::uint64_t blocks,
         return t.complete;
     }
     hw::TransferTiming t = tb.server().topology().copyChunked(
-        0, 1, blockBytes, blocks, {});
+        0, 1, blocks * blockBytes, blocks, {});
     return t.complete;
 }
 

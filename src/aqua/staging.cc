@@ -237,10 +237,7 @@ scatteredCopy(hw::Topology &topo, hw::GpuId src, hw::GpuId dst,
         panic("scatteredCopy: staging engine on gpu%d is neither "
               "endpoint (%d -> %d)", engine->localGpu(), src, dst);
     }
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return topo.copyChunked(src, dst, chunk, nChunks, {}, earliest);
+    return topo.copyChunked(src, dst, bytes, nChunks, {}, earliest);
 }
 
 } // namespace aqua::core

@@ -1,5 +1,6 @@
 #include "hw/topology.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -184,8 +185,50 @@ Topology::route(GpuId src, GpuId dst, std::uint64_t bytes,
     return TransferTiming{earliest, complete};
 }
 
+namespace {
+
+/** A payload split into count - 1 equal chunks plus the rest. */
+struct Chunking
+{
+    std::uint64_t chunk;
+    std::uint64_t count;
+    std::uint64_t last;
+};
+
+Chunking
+splitPayload(std::uint64_t bytes, std::uint64_t count)
+{
+    if (count > bytes)
+        count = bytes;
+    if (count == 0)
+        count = 1;
+    std::uint64_t chunk = bytes / count;
+    return Chunking{chunk, count, bytes - (count - 1) * chunk};
+}
+
+/** Back-to-back copy time of a split payload over @p link. */
+Tick
+chunkedTime(const Link &link, const Chunking &c)
+{
+    return link.transferTimeChunked(c.chunk, c.count - 1) +
+           link.transferTime(c.last);
+}
+
+/** Media completion of a split payload's accesses on @p ssd. */
+Tick
+mediaAccess(Ssd &ssd, bool reading, const Chunking &c, Tick start)
+{
+    Tick head = reading ? ssd.read(c.chunk, c.count - 1, start)
+                        : ssd.write(c.chunk, c.count - 1, start);
+    Tick tail = reading ? ssd.read(c.last, 1, start)
+                        : ssd.write(c.last, 1, start);
+    return std::max(head, tail);
+}
+
+} // anonymous namespace
+
 TransferTiming
-Topology::routeSsd(GpuId src, GpuId dst, std::uint64_t chunkBytes,
+Topology::routeSsd(GpuId src, GpuId dst, std::uint64_t bytes,
                    std::uint64_t count, TransferCallback cb,
                    Tick earliest_req)
 {
@@ -196,7 +239,7 @@ Topology::routeSsd(GpuId src, GpuId dst, std::uint64_t chunkBytes,
 
     bool reading = (src == ssdId);
     GpuId other = reading ? dst : src;
-    std::uint64_t bytes = chunkBytes * count;
+    Chunking c = splitPayload(bytes, count);
 
     Tick now = sim.now();
     if (earliest_req > now)
@@ -205,19 +248,16 @@ Topology::routeSsd(GpuId src, GpuId dst, std::uint64_t chunkBytes,
     if (other == hostDramId) {
         // Tier demotion/promotion: DRAM↔SSD moves touch only the
         // media, not the PCIe ports the GPUs compete for.
-        Tick complete = reading ? _ssd->read(chunkBytes, count, now)
-                                : _ssd->write(chunkBytes, count, now);
+        Tick complete = mediaAccess(*_ssd, reading, c, now);
         if (cb)
             sim.queue().schedule(complete, std::move(cb));
         return TransferTiming{now, complete};
     }
 
-    Tick pcieDuration = count <= 1
-        ? pcie.transferTime(bytes)
-        : pcie.transferTimeChunked(chunkBytes, count);
+    Tick pcieDuration = chunkedTime(pcie, c);
     if (reading) {
         // Media read first, then the PCIe hop up to the GPU.
-        Tick mediaDone = _ssd->read(chunkBytes, count, now);
+        Tick mediaDone = mediaAccess(*_ssd, reading, c, now);
         TransferTiming up = route(hostDramId, other, bytes,
                                   pcieDuration, std::move(cb),
                                   mediaDone);
@@ -226,7 +266,7 @@ Topology::routeSsd(GpuId src, GpuId dst, std::uint64_t chunkBytes,
     // PCIe hop down to DRAM, then the media write drains behind it.
     TransferTiming down =
         route(other, hostDramId, bytes, pcieDuration, {}, now);
-    Tick complete = _ssd->write(chunkBytes, count, down.complete);
+    Tick complete = mediaAccess(*_ssd, reading, c, down.complete);
     if (cb)
         sim.queue().schedule(complete, std::move(cb));
     return TransferTiming{down.start, complete};
@@ -245,19 +285,16 @@ Topology::copy(GpuId src, GpuId dst, std::uint64_t bytes,
 }
 
 TransferTiming
-Topology::copyChunked(GpuId src, GpuId dst, std::uint64_t chunkBytes,
+Topology::copyChunked(GpuId src, GpuId dst, std::uint64_t bytes,
                       std::uint64_t count, TransferCallback cb,
                       Tick earliest)
 {
     if (src == ssdId || dst == ssdId)
-        return routeSsd(src, dst, chunkBytes, count, std::move(cb),
-                        earliest);
+        return routeSsd(src, dst, bytes, count, std::move(cb), earliest);
     bool via_pcie = (src == hostDramId || dst == hostDramId);
-    Tick duration = via_pcie
-        ? pcie.transferTimeChunked(chunkBytes, count)
-        : nvlink.transferTimeChunked(chunkBytes, count);
-    return route(src, dst, chunkBytes * count, duration, std::move(cb),
-                 earliest);
+    Tick duration =
+        chunkedTime(via_pcie ? pcie : nvlink, splitPayload(bytes, count));
+    return route(src, dst, bytes, duration, std::move(cb), earliest);
 }
 
 } // namespace aqua::hw

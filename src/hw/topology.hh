@@ -110,12 +110,14 @@ class Topology
                         aqua::sim::Tick earliest = 0);
 
     /**
-     * Issue @p count back-to-back copies of @p chunkBytes each over the
-     * same route — the unstaged scattered-copy pattern whose cost
-     * motivates AQUA's gather/scatter kernels (§5).
+     * Move @p bytes as @p count back-to-back copies over the same
+     * route — the unstaged scattered-copy pattern whose cost motivates
+     * AQUA's gather/scatter kernels (§5). The payload splits like
+     * core::StagingEngine::uniformChunks(): count - 1 chunks of
+     * bytes / count and the rest in the last, with count clamped to
+     * [1, bytes], so exactly @p bytes cross the route.
      */
-    TransferTiming copyChunked(GpuId src, GpuId dst,
-                               std::uint64_t chunkBytes,
+    TransferTiming copyChunked(GpuId src, GpuId dst, std::uint64_t bytes,
                                std::uint64_t count,
                                TransferCallback cb = {},
                                aqua::sim::Tick earliest = 0);
@@ -204,9 +206,9 @@ class Topology
                          aqua::sim::Tick duration, TransferCallback cb,
                          aqua::sim::Tick earliest);
 
-    /** Route a copy with ssdId as one endpoint. */
-    TransferTiming routeSsd(GpuId src, GpuId dst,
-                            std::uint64_t chunkBytes,
+    /** Route a copy of @p bytes in @p count chunks (split as in
+     *  copyChunked()) with ssdId as one endpoint. */
+    TransferTiming routeSsd(GpuId src, GpuId dst, std::uint64_t bytes,
                             std::uint64_t count, TransferCallback cb,
                             aqua::sim::Tick earliest);
 

@@ -26,11 +26,11 @@ UvmBackend::paged(const Handle &handle, std::uint64_t bytes,
     // accessing kernel once per wavefront on top of the transfer.
     hw::TransferTiming t =
         toGpu ? server.topology().copyChunked(hw::hostDramId, gpu,
-                                              uvmPageBytes, pages, {},
-                                              earliest)
+                                              pages * uvmPageBytes,
+                                              pages, {}, earliest)
               : server.topology().copyChunked(gpu, hw::hostDramId,
-                                              uvmPageBytes, pages, {},
-                                              earliest);
+                                              pages * uvmPageBytes,
+                                              pages, {}, earliest);
     t.complete += wavefronts * faultLatency;
     return t;
 }

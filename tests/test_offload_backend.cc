@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/testbed.hh"
-#include "serve/uvm_backend.hh"
+#include "tier/ssd_backend.hh"
 
 using namespace aqua;
 using namespace aqua::sim;
@@ -82,4 +82,60 @@ TEST(AquaBackend, HandleMapsToTensor)
     EXPECT_EQ(lib.ownedTensors(), 1u);
     aqua.free(*handle);
     EXPECT_EQ(lib.ownedTensors(), 0u);
+}
+
+TEST(OffloadBackends, ScatteredPayloadsCrossTheLinkExactly)
+{
+    // DRAM (unstaged), SSD (staged, and unstaged tier-local moves) and
+    // AQUA-LIB (staged and unstaged, on a peer lease and on the DRAM
+    // fallback) move exactly `bytes` per call, whatever the chunking.
+    constexpr std::uint64_t gb = std::uint64_t(1) << 30;
+    for (auto [bytes, n] : {std::pair<std::uint64_t, std::uint64_t>{
+                                1000, 7},
+                            {3, 100}}) {
+        SCOPED_TRACE(testing::Message()
+                     << bytes << " B / " << n << " chunks");
+        {
+            exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+            DramBackend &dram = tb.makeDramBackend(0);
+            auto h = dram.alloc(bytes);
+            dram.write(*h, bytes, n);
+            dram.read(*h, bytes, n);
+            EXPECT_EQ(tb.server().topology().hostBytesMoved(), 2 * bytes);
+        }
+        {
+            exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+            tier::SsdBackend &ssd = tb.makeSsdBackend(0);
+            auto h = ssd.alloc(bytes);
+            ssd.write(*h, bytes, n);
+            ssd.read(*h, bytes, n);
+            EXPECT_EQ(tb.server().topology().hostBytesMoved(), 2 * bytes);
+            ssd.writeFromDram(*h, bytes, n);
+            ssd.readToDram(*h, bytes, n);
+            EXPECT_EQ(tb.server().topology().hostBytesMoved(), 2 * bytes);
+            EXPECT_EQ(tb.server().ssd().bytesWritten(), 2 * bytes);
+            EXPECT_EQ(tb.server().ssd().bytesRead(), 2 * bytes);
+        }
+        for (bool staged : {true, false}) {
+            for (bool lease : {true, false}) {
+                SCOPED_TRACE(testing::Message()
+                             << (staged ? "staged" : "unstaged")
+                             << (lease ? " peer" : " dram"));
+                exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+                core::AquaLibConfig cfg;
+                cfg.useStaging = staged;
+                core::AquaLib &lib = tb.makeAquaLib(0, nullptr, cfg);
+                tb.assign(0, 1);
+                if (lease)
+                    tb.coordinator().lease(1, 10 * gb);
+                auto id = lib.allocateTensor(bytes);
+                lib.writeTensor(*id, bytes, n);
+                lib.readTensor(*id, bytes, n);
+                const hw::Topology &topo = tb.server().topology();
+                EXPECT_EQ(lease ? topo.peerBytesMoved()
+                                : topo.hostBytesMoved(),
+                          2 * bytes);
+            }
+        }
+    }
 }

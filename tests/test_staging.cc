@@ -3,8 +3,9 @@
  * Tests for the scatter/gather staging engine: coalescer unit and
  * property tests (adjacent-block merging, split at the slot size,
  * ordering preserved, byte conservation over randomized descriptor
- * sets) and double-buffer overlap accounting (pipelined execution
- * beats the sequential sum of gather + wire times).
+ * sets), double-buffer overlap accounting (pipelined execution
+ * beats the sequential sum of gather + wire times) and the shared
+ * scatteredCopy() routine every offload store moves data through.
  */
 
 #include <gtest/gtest.h>
@@ -329,4 +330,66 @@ TEST(StagingEngineExec, InterleavedDirectionsShareSlotsSafely)
     hw::TransferTiming in = engine.transferIn(1, descs);
     EXPECT_GT(in.complete, out.complete);
     EXPECT_EQ(engine.stats().bytesMoved, 2u * 64 * mib);
+}
+
+//
+// scatteredCopy(): the one transfer-shape rule of every offload store.
+//
+
+TEST(ScatteredCopy, EveryRouteMovesExactlyThePayload)
+{
+    // Payloads that the chunk count does not divide, and one with
+    // fewer bytes than chunks: staged or not, exactly `bytes` cross
+    // every link the route touches.
+    const hw::GpuId host = hw::hostDramId, ssd = hw::ssdId;
+    const std::pair<hw::GpuId, hw::GpuId> routes[] = {
+        {0, host}, {host, 0}, {0, ssd}, {ssd, 0}, {0, 1}, {1, 0},
+        {host, ssd}, {ssd, host}};
+    for (auto [bytes, n] : {std::pair<std::uint64_t, std::uint64_t>{
+                                1000, 7},
+                            {3, 100}}) {
+        for (auto [src, dst] : routes) {
+            bool gpuRoute = src == 0 || dst == 0;
+            for (bool staged : {false, true}) {
+                if (staged && !gpuRoute)
+                    continue; // tier-local moves have no GPU engine
+                SCOPED_TRACE(testing::Message()
+                             << bytes << " B / " << n << " chunks, "
+                             << src << " -> " << dst
+                             << (staged ? " staged" : " unstaged"));
+                exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+                StagingEngine engine(tb.server(), 0);
+                hw::Topology &topo = tb.server().topology();
+                scatteredCopy(topo, src, dst, bytes, n,
+                              staged ? &engine : nullptr);
+                bool peer = src != host && src != ssd && dst != host &&
+                            dst != ssd;
+                bool pcie = gpuRoute && !peer;
+                EXPECT_EQ(topo.peerBytesMoved(), peer ? bytes : 0);
+                EXPECT_EQ(topo.hostBytesMoved(), pcie ? bytes : 0);
+                EXPECT_EQ(tb.server().ssd().bytesWritten(),
+                          dst == ssd ? bytes : 0);
+                EXPECT_EQ(tb.server().ssd().bytesRead(),
+                          src == ssd ? bytes : 0);
+            }
+        }
+    }
+}
+
+TEST(ScatteredCopy, PerChunkTimeChargesTheRemainderOnce)
+{
+    // 1000 B in 7 chunks: six of 142 B and one of 148 B, back to back.
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    hw::Topology &topo = tb.server().topology();
+    hw::TransferTiming t =
+        scatteredCopy(topo, 0, hw::hostDramId, 1000, 7, nullptr);
+    const hw::Link &pcie = topo.hostLink();
+    EXPECT_EQ(t.complete - t.start,
+              pcie.transferTimeChunked(142, 6) + pcie.transferTime(148));
+
+    // When the count divides the payload this is n equal chunks.
+    hw::TransferTiming even =
+        scatteredCopy(topo, 0, 1, 64 * mib, 64, nullptr);
+    EXPECT_EQ(even.complete - even.start,
+              topo.peerLink().transferTimeChunked(mib, 64));
 }
