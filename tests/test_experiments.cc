@@ -479,6 +479,206 @@ TEST(GoldenOutputs, PrefixAblation)
     EXPECT_EQ(r.engine.sigMismatches, 0u);
 }
 
+namespace {
+
+/** outputDigest over a chatbot run's metrics, with each turn mixed
+ *  in. */
+std::uint64_t
+turnDigest(const std::vector<ChatbotResult::TurnMetric> &metrics)
+{
+    std::vector<workload::RequestMetrics> plain;
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const ChatbotResult::TurnMetric &tm : metrics) {
+        plain.push_back(tm.metrics);
+        h = fnv(h, tm.turn);
+    }
+    return fnv(h, outputDigest(plain));
+}
+
+/** Digest of a resampled series: every bucket's time and value
+ *  bits. */
+std::uint64_t
+seriesDigest(const std::vector<stats::Point> &series)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const stats::Point &p : series) {
+        h = fnv(h, p.when);
+        h = fnv(h, std::bit_cast<std::uint64_t>(p.value));
+    }
+    return h;
+}
+
+} // anonymous namespace
+
+TEST(GoldenOutputs, ChatbotVllm)
+{
+    ChatbotConfig cfg;
+    cfg.mode = ServeMode::VllmBaseline;
+    cfg.users = 6;
+    cfg.turns = 3;
+    ChatbotResult r = runChatbot(cfg);
+    EXPECT_EQ(r.metrics.size(), 18u);
+    EXPECT_EQ(turnDigest(r.metrics), 4127891253924496161ULL);
+    EXPECT_EQ(r.index.hits, 0u);
+    EXPECT_EQ(r.engine.cachedTokens, 0u);
+    EXPECT_EQ(r.peakLiveKvBytes, 2447376384u);
+    EXPECT_EQ(r.offloadWriteBytes, 0u);
+    EXPECT_EQ(r.offloadReadBytes, 0u);
+    EXPECT_DOUBLE_EQ(r.tokensPerSec, 87.849999999999994);
+}
+
+TEST(GoldenOutputs, ChatbotAqua)
+{
+    ChatbotConfig cfg;
+    cfg.mode = ServeMode::CfsAqua;
+    cfg.users = 6;
+    cfg.turns = 3;
+    cfg.prefixCache = true;
+    cfg.systemPromptTokens = 256;
+    ChatbotResult r = runChatbot(cfg);
+    EXPECT_EQ(r.metrics.size(), 18u);
+    EXPECT_EQ(turnDigest(r.metrics), 5801122746663662664ULL);
+    EXPECT_EQ(r.index.hits, 1151u);
+    EXPECT_EQ(r.engine.cachedTokens, 18416u);
+    EXPECT_EQ(r.peakLiveKvBytes, 2481979392u);
+    EXPECT_EQ(r.offloadWriteBytes, 0u);
+    EXPECT_EQ(r.offloadReadBytes, 0u);
+    EXPECT_DOUBLE_EQ(r.tokensPerSec, 93.706666666666663);
+}
+
+TEST(GoldenOutputs, ClusterPrefixChatbot)
+{
+    ClusterPrefixConfig cfg;
+    cfg.consumers = 3;
+    cfg.chatbot = true;
+    cfg.users = 6;
+    cfg.turns = 3;
+    cfg.chaos = true;
+    ClusterPrefixResult r = runClusterPrefix(cfg);
+    EXPECT_EQ(r.metrics.size(), 18u);
+    EXPECT_EQ(outputDigest(r.metrics), 10831941905637810533ULL);
+    EXPECT_EQ(r.promptTokens, 34487u);
+    EXPECT_EQ(r.engine.cachedTokens, 26512u);
+    EXPECT_EQ(r.engine.registryHits, 14u);
+    EXPECT_EQ(r.engine.copyAdmissions, 14u);
+    EXPECT_EQ(r.engine.borrowAdmissions, 0u);
+    EXPECT_EQ(r.registry.publishes, 29u);
+    EXPECT_EQ(r.registry.invalidations, 2u);
+    EXPECT_EQ(r.residentPrefixBytes, 301989888u);
+    EXPECT_EQ(r.singleCopyBytes, 150994944u);
+    EXPECT_EQ(r.unfinished, 0u);
+    EXPECT_EQ(r.activePins, 0u);
+    EXPECT_DOUBLE_EQ(r.elapsedSec, 65.0);
+}
+
+TEST(GoldenOutputs, FederationChatbot)
+{
+    FederationRunConfig cfg;
+    cfg.chatbot = true;
+    cfg.users = 6;
+    cfg.turns = 3;
+    cfg.chaos = true;
+    FederationRunResult r = runFederation(cfg);
+    EXPECT_EQ(r.metrics.size(), 18u);
+    EXPECT_EQ(outputDigest(r.metrics), 17078956192188554992ULL);
+    EXPECT_EQ(r.outputDigest, 11894926452956104359ULL);
+    EXPECT_EQ(r.promptTokens, 34487u);
+    EXPECT_EQ(r.tailTokens, 20663u);
+    EXPECT_EQ(r.engine.cachedTokens, 17904u);
+    EXPECT_EQ(r.engine.fedHits, 3u);
+    EXPECT_EQ(r.engine.fedStreamBytes, 452984832u);
+    EXPECT_EQ(r.directory.advertsApplied, 48u);
+    EXPECT_EQ(r.fabric.bytesMoved, 452984832u);
+    EXPECT_EQ(r.unfinished, 0u);
+    EXPECT_DOUBLE_EQ(r.elapsedSec, 65.0);
+}
+
+TEST(GoldenOutputs, Cfs)
+{
+    const std::array<std::uint64_t, 3> digests = {
+        10863228106289153478ULL, 512800985611550336ULL,
+        5974522025240635486ULL};
+    const std::array<std::uint64_t, 3> swapOuts = {0u, 869u, 869u};
+    const std::array<std::uint64_t, 3> swapIns = {0u, 869u, 869u};
+    const std::array<double, 3> producerThroughput = {
+        0.62222222222222223, 0.40000000000000002, 0.42499999999999999};
+    const std::array<ServeMode, 3> modes = {ServeMode::VllmBaseline,
+                                            ServeMode::CfsDram,
+                                            ServeMode::CfsAqua};
+    for (std::size_t i = 0; i < modes.size(); ++i) {
+        CfsExperimentConfig cfg;
+        cfg.mode = modes[i];
+        cfg.ratePerSec = 10.0;
+        cfg.numRequests = 60;
+        CfsExperimentResult r = runCfsExperiment(cfg);
+        SCOPED_TRACE(serveModeName(modes[i]));
+        EXPECT_EQ(r.metrics.size(), 60u);
+        EXPECT_EQ(outputDigest(r.metrics), digests[i]);
+        EXPECT_EQ(r.consumerSwapOuts, swapOuts[i]);
+        EXPECT_EQ(r.consumerSwapIns, swapIns[i]);
+        EXPECT_DOUBLE_EQ(r.producerThroughput, producerThroughput[i]);
+    }
+}
+
+TEST(GoldenOutputs, Lora)
+{
+    const std::array<std::uint64_t, 2> digests = {
+        2884479630292735421ULL, 2843681878837198997ULL};
+    const std::array<std::uint64_t, 2> hits = {9u, 9u};
+    const std::array<std::uint64_t, 2> misses = {21u, 21u};
+    const std::array<OffloadMode, 2> modes = {OffloadMode::Dram,
+                                              OffloadMode::Aqua};
+    for (std::size_t i = 0; i < modes.size(); ++i) {
+        LoraExperimentConfig cfg;
+        cfg.mode = modes[i];
+        cfg.numRequests = 30;
+        LoraExperimentResult r = runLoraExperiment(cfg);
+        SCOPED_TRACE(offloadModeName(modes[i]));
+        EXPECT_EQ(r.metrics.size(), 30u);
+        EXPECT_EQ(outputDigest(r.metrics), digests[i]);
+        EXPECT_EQ(r.cacheHits, hits[i]);
+        EXPECT_EQ(r.cacheMisses, misses[i]);
+    }
+}
+
+TEST(GoldenOutputs, LongPrompt)
+{
+    const std::array<std::uint64_t, 3> tokens = {236u, 1371u, 1371u};
+    const std::array<OffloadMode, 3> modes = {OffloadMode::Dram,
+                                              OffloadMode::Aqua,
+                                              OffloadMode::AquaUnstaged};
+    for (std::size_t i = 0; i < modes.size(); ++i) {
+        LongPromptConfig cfg;
+        cfg.mode = modes[i];
+        cfg.durationSec = 120.0;
+        LongPromptResult r = runLongPrompt(cfg);
+        SCOPED_TRACE(offloadModeName(modes[i]));
+        ASSERT_EQ(r.tokensPerConsumer.size(), 1u);
+        EXPECT_EQ(r.totalTokens, tokens[i]);
+    }
+    // Two consumers leasing from one producer on the NVSwitch server.
+    LongPromptConfig cfg;
+    cfg.mode = OffloadMode::Aqua;
+    cfg.durationSec = 120.0;
+    cfg.pairs = 2;
+    cfg.sharedProducer = true;
+    LongPromptResult r = runLongPrompt(cfg);
+    ASSERT_EQ(r.tokensPerConsumer.size(), 2u);
+    EXPECT_EQ(r.tokensPerConsumer[0], 1235u);
+    EXPECT_EQ(r.tokensPerConsumer[1], 1235u);
+}
+
+TEST(GoldenOutputs, Elastic)
+{
+    ElasticExperimentConfig cfg;
+    cfg.durationSec = 450.0;
+    ElasticExperimentResult r = runElasticExperiment(cfg);
+    EXPECT_EQ(outputDigest(r.producerMetrics), 8933478898381720878ULL);
+    EXPECT_EQ(seriesDigest(r.producerFreeMemory), 6411520318727413159ULL);
+    EXPECT_EQ(seriesDigest(r.consumerThroughput), 1568114694959780255ULL);
+    EXPECT_EQ(r.consumerTokens, 2982u);
+}
+
 TEST(GoldenOutputs, ClusterSim)
 {
     ClusterSimConfig cfg;
