@@ -136,7 +136,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(preambleColdTokens(off)),
                 static_cast<unsigned long long>(preambleColdTokens(on)),
                 static_cast<unsigned long long>(
-                    std::uint64_t(base.servers) * base.prefixTokens),
+                    exp::federationServers * base.prefixTokens),
                 static_cast<unsigned long long>(
                     on.engine.hitTokensRemoteServer));
 
@@ -227,7 +227,7 @@ main(int argc, char **argv)
     //     server (one partial tail block of slack each), streams the
     //     rest, and improves the cross-server chatbot hit rate.
     std::uint64_t preambleBudget =
-        std::uint64_t(base.servers) * (base.prefixTokens + 16);
+        exp::federationServers * (base.prefixTokens + 16);
     bool okOnce = on.engine.hitTokensRemoteServer > 0 &&
                   preambleColdTokens(on) <= preambleBudget &&
                   on.aggregateHitRate > off.aggregateHitRate;
@@ -268,7 +268,8 @@ main(int argc, char **argv)
 
     bench::JsonReporter report("federation");
     report.set("smoke", smoke)
-        .set("servers", static_cast<std::int64_t>(base.servers))
+        .set("servers",
+             static_cast<std::int64_t>(exp::federationServers))
         .set("num_requests",
              static_cast<std::int64_t>(base.numRequests))
         .set("prefix_tokens", base.prefixTokens);

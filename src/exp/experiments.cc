@@ -1,8 +1,11 @@
 #include "exp/experiments.hh"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 
 #include "exp/testbed.hh"
 #include "fault/fault.hh"
@@ -120,6 +123,202 @@ sortById(std::vector<workload::RequestMetrics> &metrics)
               [](const auto &a, const auto &b) { return a.id < b.id; });
 }
 
+/** FCFS for the vLLM baseline, CFS for the other serve modes. */
+std::unique_ptr<serve::SchedulerPolicy>
+policyFor(ServeMode mode)
+{
+    if (mode == ServeMode::VllmBaseline)
+        return std::make_unique<serve::FcfsPolicy>();
+    return std::make_unique<serve::CfsPolicy>();
+}
+
+/** A consumer's offload path. */
+struct Offload
+{
+    serve::OffloadBackend &backend;
+    /** The producer's AQUA-LIB; null on the DRAM path. */
+    core::AquaLib *producerLib = nullptr;
+};
+
+/**
+ * Wire a consumer's offload path (§6.1). With @p aqua, the producer
+ * GPU runs AQUA-LIB with the informer its model needs, the consumer
+ * runs AQUA-LIB too, the coordinator pairs the consumer with
+ * @p lender (the producer unless given) and the consumer offloads to
+ * AQUA TENSORS; otherwise it offloads to host DRAM.
+ */
+Offload
+wireOffload(Testbed &tb, hw::GpuId consumerGpu, hw::GpuId producerGpu,
+            const std::string &producerModel, bool aqua,
+            bool staging = true,
+            std::optional<hw::GpuId> lender = std::nullopt)
+{
+    if (!aqua)
+        return {tb.makeDramBackend(consumerGpu)};
+    core::AquaLibConfig libCfg;
+    libCfg.useStaging = staging;
+    core::AquaLib &producerLib = tb.makeAquaLib(
+        producerGpu, makeInformerFor(presetByName(producerModel)),
+        libCfg);
+    core::AquaLib &consumerLib =
+        tb.makeAquaLib(consumerGpu, nullptr, libCfg);
+    tb.assign(consumerGpu, lender.value_or(producerGpu));
+    return {tb.makeAquaBackend(consumerLib), &producerLib};
+}
+
+/**
+ * The chatbot driver (§8). Every user opens a conversation, and the
+ * response to each turn prompts the user's next one, which re-sends
+ * the conversation so far as history. A turn stamped with an idle
+ * gap (workload::IdleSpec) gets its follow-up only after the gap, as
+ * a cold resume; other turns are answered at chat pace.
+ */
+class ChatSessions
+{
+  public:
+    /** Index of the engine that serves a request. */
+    using Route = std::function<std::size_t(const workload::Request &)>;
+    /** Sees each request as it is issued. */
+    using OnIssue = std::function<void(const workload::Request &)>;
+
+    ChatSessions(Simulation &sim, std::uint32_t turns,
+                 std::uint32_t systemPromptTokens,
+                 workload::IdleSpec idle = {})
+        : sim(sim), traces(sim.makeRandom()), turns(turns),
+          systemPromptTokens(systemPromptTokens)
+    {
+        traces.setIdle(idle);
+    }
+
+    /**
+     * Issue every user's first turn to @p engines (all to the first
+     * one without a @p route), and have each engine's completions
+     * issue the user's next turn.
+     */
+    void
+    start(std::uint32_t users, std::vector<serve::VllmEngine *> engines,
+          Route route = {}, OnIssue onIssue = {})
+    {
+        this->engines = std::move(engines);
+        this->route = std::move(route);
+        this->onIssue = std::move(onIssue);
+        for (const workload::Request &r :
+             traces.chatbotFirstTurn(users, 0, systemPromptTokens))
+            issue(r);
+        for (serve::VllmEngine *engine : this->engines)
+            engine->onComplete([this](const workload::RequestMetrics &m) {
+                followUp(m);
+            });
+    }
+
+    /** The turn an issued request belongs to. */
+    std::uint32_t
+    turnOf(std::uint64_t id) const
+    {
+        return issued.at(id).turn;
+    }
+
+  private:
+    void
+    issue(const workload::Request &r)
+    {
+        issued[r.id] = r;
+        if (onIssue)
+            onIssue(r);
+        serve::VllmEngine &engine = *engines[route ? route(r) : 0];
+        sim.queue().schedule(r.arrival,
+                             [&engine, r] { engine.submit(r); });
+    }
+
+    void
+    followUp(const workload::RequestMetrics &m)
+    {
+        const workload::Request &done = issued.at(m.id);
+        if (done.turn + 1 >= turns)
+            return;
+        double gap = done.idleGapSec;
+        workload::Request next = traces.chatbotFollowUp(
+            done.userId, done.turn + 1, sim.now() + secToTicks(gap),
+            done.promptTokens + m.tokensGenerated, systemPromptTokens);
+        if (gap > 0.0)
+            next.coldResume = true;
+        issue(next);
+    }
+
+    Simulation &sim;
+    workload::TraceBuilder traces;
+    std::uint32_t turns;
+    std::uint32_t systemPromptTokens;
+    std::vector<serve::VllmEngine *> engines;
+    Route route;
+    OnIssue onIssue;
+    /** Every issued request, by id. */
+    std::map<std::uint64_t, workload::Request> issued;
+};
+
+/** A permanent kill of gpu 0 at @p at: the chaos cells' fault. */
+fault::FaultSpec
+gpu0Kill(Tick at)
+{
+    fault::FaultSpec f;
+    f.kind = fault::FaultKind::GpuFail;
+    f.at = at;
+    f.duration = 0; // permanent
+    f.gpu = 0;
+    f.grace = msToTicks(200.0);
+    return f;
+}
+
+/** Non-owning pointers to @p engines. */
+std::vector<serve::VllmEngine *>
+pointers(const std::vector<std::unique_ptr<serve::VllmEngine>> &engines)
+{
+    std::vector<serve::VllmEngine *> out;
+    for (const auto &engine : engines)
+        out.push_back(engine.get());
+    return out;
+}
+
+/**
+ * Run until @p engines have finished @p expected requests between
+ * them, then fold their outcomes into @p result: every finished
+ * request in id order, the summed prefix counters, the aggregate hit
+ * rate over the issued result.promptTokens and the token throughput.
+ */
+void
+drainEngines(Simulation &sim, double maxSimSeconds,
+             const std::vector<std::unique_ptr<serve::VllmEngine>> &engines,
+             std::size_t expected, MultiEngineRunResult &result)
+{
+    runUntilDone(sim, maxSimSeconds, [&] {
+        std::size_t done = 0;
+        for (const auto &engine : engines)
+            done += engine->finished().size();
+        return done >= expected;
+    });
+
+    std::uint64_t tokens = 0;
+    for (const auto &engine : engines) {
+        for (const workload::RequestMetrics &m : engine->finished())
+            result.metrics.push_back(m);
+        result.engine += engine->prefixEngineStats();
+        tokens += engine->totalTokens();
+    }
+    sortById(result.metrics);
+    result.unfinished = expected > result.metrics.size()
+                            ? expected - result.metrics.size()
+                            : 0;
+    result.aggregateHitRate =
+        result.promptTokens > 0
+            ? static_cast<double>(result.engine.cachedTokens) /
+                  result.promptTokens
+            : 0.0;
+    double elapsed = ticksToSec(sim.now());
+    result.elapsedSec = elapsed;
+    result.tokensPerSec =
+        elapsed > 0.0 ? static_cast<double>(tokens) / elapsed : 0.0;
+}
+
 } // anonymous namespace
 
 CfsExperimentResult
@@ -129,36 +328,20 @@ runCfsExperiment(const CfsExperimentConfig &cfg)
     constexpr hw::GpuId consumerGpu = 0;
     constexpr hw::GpuId producerGpu = 1;
 
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *consumerLib = nullptr;
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        consumerLib = &tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(*consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    Offload offload = wireOffload(tb, consumerGpu, producerGpu,
+                                  cfg.producerModel,
+                                  cfg.mode == ServeMode::CfsAqua);
     serve::VllmEngineConfig engineCfg;
     engineCfg.cfsSliceTokens = cfg.sliceTokens;
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), offload.backend,
+                               engineCfg);
 
     Producer producer = makeProducer(tb, producerGpu,
                                      cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+                                     cfg.maxSimSeconds,
+                                     offload.producerLib);
 
     workload::TraceBuilder traces(tb.sim().makeRandom());
     std::vector<workload::Request> trace =
@@ -188,8 +371,6 @@ runLongPrompt(const LongPromptConfig &cfg)
     Testbed tb(gpus, kind, cfg.seed);
 
     ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
     std::vector<std::unique_ptr<serve::FlexGenEngine>> consumers;
     std::vector<Producer> producers;
     workload::TraceBuilder traces(tb.sim().makeRandom());
@@ -197,32 +378,21 @@ runLongPrompt(const LongPromptConfig &cfg)
     for (std::size_t i = 0; i < cfg.pairs; ++i) {
         auto consumerGpu = static_cast<hw::GpuId>(2 * i);
         auto producerGpu = static_cast<hw::GpuId>(2 * i + 1);
-
-        serve::OffloadBackend *backend = nullptr;
-        core::AquaLib *producerLib = nullptr;
-        if (cfg.mode != OffloadMode::Dram) {
-            core::AquaLibConfig libCfg;
-            libCfg.useStaging = cfg.mode != OffloadMode::AquaUnstaged;
-            producerLib = &tb.makeAquaLib(
-                producerGpu, makeInformerFor(producerSpec), libCfg);
-            core::AquaLib &consumerLib =
-                tb.makeAquaLib(consumerGpu, nullptr, libCfg);
-            hw::GpuId target = cfg.sharedProducer
-                                   ? static_cast<hw::GpuId>(1)
-                                   : producerGpu;
-            tb.assign(consumerGpu, target);
-            backend = &tb.makeAquaBackend(consumerLib);
-        } else {
-            backend = &tb.makeDramBackend(consumerGpu);
-        }
+        // A shared producer is the first pair's.
+        Offload offload = wireOffload(
+            tb, consumerGpu, producerGpu, cfg.producerModel,
+            cfg.mode != OffloadMode::Dram,
+            cfg.mode != OffloadMode::AquaUnstaged,
+            cfg.sharedProducer ? std::optional<hw::GpuId>(1)
+                               : std::nullopt);
 
         producers.push_back(makeProducer(tb, producerGpu,
                                          cfg.producerModel, 1.0,
                                          cfg.durationSec,
-                                         producerLib));
+                                         offload.producerLib));
 
         consumers.push_back(std::make_unique<serve::FlexGenEngine>(
-            tb.server(), consumerGpu, consumerSpec, *backend));
+            tb.server(), consumerGpu, consumerSpec, offload.backend));
         // Queue enough prompts to outlast the measurement window.
         for (int n = 0; n < 40; ++n) {
             workload::Request r =
@@ -254,30 +424,17 @@ runLoraExperiment(const LoraExperimentConfig &cfg)
     constexpr hw::GpuId consumerGpu = 0;
     constexpr hw::GpuId producerGpu = 1;
 
-    ModelSpec consumerSpec = presetByName(loraBaseModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode != OffloadMode::Dram) {
-        core::AquaLibConfig libCfg;
-        libCfg.useStaging = cfg.mode != OffloadMode::AquaUnstaged;
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec),
-                                      libCfg);
-        core::AquaLib &consumerLib =
-            tb.makeAquaLib(consumerGpu, nullptr, libCfg);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
+    Offload offload = wireOffload(tb, consumerGpu, producerGpu,
+                                  cfg.producerModel,
+                                  cfg.mode != OffloadMode::Dram,
+                                  cfg.mode != OffloadMode::AquaUnstaged);
 
     // Give the producer a head start so its donation is in place
     // before the adapter store is populated.
     Producer producer = makeProducer(tb, producerGpu,
                                      cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+                                     cfg.maxSimSeconds,
+                                     offload.producerLib);
     tb.sim().runUntil(secToTicks(1.0));
 
     serve::VllmEngineConfig engineCfg;
@@ -285,8 +442,9 @@ runLoraExperiment(const LoraExperimentConfig &cfg)
     loraCfg.capacityBytes = cfg.cacheBytes;
     engineCfg.lora = loraCfg;
     serve::VllmEngine consumer(
-        tb.server(), consumerGpu, consumerSpec,
-        std::make_unique<serve::FcfsPolicy>(), *backend, engineCfg,
+        tb.server(), consumerGpu, presetByName(loraBaseModel),
+        std::make_unique<serve::FcfsPolicy>(), offload.backend,
+        engineCfg,
         model::synthesizeAdapters("lora", cfg.adapterBytes,
                                   cfg.numAdapters));
 
@@ -443,74 +601,22 @@ runChatbot(const ChatbotConfig &cfg)
     constexpr hw::GpuId consumerGpu = 0;
     constexpr hw::GpuId producerGpu = 1;
 
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        core::AquaLib &consumerLib = tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    Offload offload = wireOffload(tb, consumerGpu, producerGpu,
+                                  cfg.producerModel,
+                                  cfg.mode == ServeMode::CfsAqua);
     serve::VllmEngineConfig engineCfg;
     engineCfg.prefixCache = cfg.prefixCache;
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), offload.backend,
+                               engineCfg);
     Producer producer = makeProducer(tb, producerGpu,
                                      cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+                                     cfg.maxSimSeconds,
+                                     offload.producerLib);
 
-    // The chatbot driver: each user re-issues a prompt after the
-    // response to the previous one arrives (§8).
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        tb.sim().makeRandom());
-    auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto userOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                              std::uint32_t>>();
-
-    std::vector<workload::Request> first =
-        traces->chatbotFirstTurn(cfg.users, 0, cfg.systemPromptTokens);
-    for (const workload::Request &r : first) {
-        (*turnOf)[r.id] = 0;
-        (*userOf)[r.id] = r.userId;
-        (*promptOf)[r.id] = r.promptTokens;
-    }
-    driveTrace(tb.sim(), consumer, first);
-
-    std::uint32_t turns = cfg.turns;
-    std::uint32_t sysTokens = cfg.systemPromptTokens;
-    consumer.onComplete([&, traces, turnOf, userOf, promptOf,
-                         sysTokens](const workload::RequestMetrics &m) {
-        std::uint32_t turn = (*turnOf)[m.id];
-        std::uint32_t user = (*userOf)[m.id];
-        if (turn + 1 >= turns)
-            return;
-        // The next turn carries the whole conversation as history.
-        std::uint32_t history = (*promptOf)[m.id] + m.tokensGenerated;
-        workload::Request next = traces->chatbotFollowUp(
-            user, turn + 1, tb.sim().now(), history, sysTokens);
-        (*turnOf)[next.id] = turn + 1;
-        (*userOf)[next.id] = user;
-        (*promptOf)[next.id] = next.promptTokens;
-        tb.sim().queue().schedule(next.arrival, [&consumer, next] {
-            consumer.submit(next);
-        });
-    });
+    ChatSessions chat(tb.sim(), cfg.turns, cfg.systemPromptTokens);
+    chat.start(cfg.users, {&consumer});
 
     std::size_t expected = std::size_t(cfg.users) * cfg.turns;
     runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
@@ -520,7 +626,7 @@ runChatbot(const ChatbotConfig &cfg)
     ChatbotResult result;
     for (const workload::RequestMetrics &m : consumer.finished()) {
         ChatbotResult::TurnMetric tm;
-        tm.turn = (*turnOf)[m.id];
+        tm.turn = chat.turnOf(m.id);
         tm.metrics = m;
         result.metrics.push_back(tm);
     }
@@ -548,38 +654,23 @@ runPrefixAblation(const PrefixAblationConfig &cfg)
     constexpr hw::GpuId consumerGpu = 0;
     constexpr hw::GpuId producerGpu = 1;
 
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        core::AquaLib &consumerLib = tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    Offload offload = wireOffload(tb, consumerGpu, producerGpu,
+                                  cfg.producerModel,
+                                  cfg.mode == ServeMode::CfsAqua);
     serve::VllmEngineConfig engineCfg;
     engineCfg.prefixCache = cfg.prefixCache;
     engineCfg.maxCacheShare = cfg.maxCacheShare;
     engineCfg.prefixEviction = cfg.eviction;
     engineCfg.kvPrecision = cfg.kvPrecision;
     engineCfg.sparseReadFraction = cfg.sparseReadFraction;
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), offload.backend,
+                               engineCfg);
     Producer producer = makeProducer(tb, producerGpu,
                                      cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+                                     cfg.maxSimSeconds,
+                                     offload.producerLib);
 
     workload::TraceBuilder traces(tb.sim().makeRandom());
     std::vector<workload::Request> trace = traces.sharedPrefix(
@@ -675,13 +766,7 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
             });
         }
         fault::FaultPlan plan;
-        fault::FaultSpec f;
-        f.kind = fault::FaultKind::GpuFail;
-        f.at = chaosAt;
-        f.duration = 0; // permanent
-        f.gpu = 0;
-        f.grace = msToTicks(200.0);
-        plan.add(f);
+        plan.add(gpu0Kill(chaosAt));
         inj->arm(plan);
     }
 
@@ -692,75 +777,38 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         return e;
     };
 
-    std::size_t expected = 0;
-    std::uint64_t promptTotal = 0;
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        tb.sim().makeRandom());
+    ClusterPrefixResult result;
     /** Group representatives for the residency probe. */
     std::vector<workload::Request> groupReps;
-    auto noteGroup = [&](const workload::Request &r) {
+    auto onIssue = [&](const workload::Request &r) {
+        result.promptTokens += r.promptTokens;
         for (const workload::Request &g : groupReps)
             if (g.prefixStream == r.prefixStream)
                 return;
         groupReps.push_back(r);
     };
 
+    std::size_t expected = 0;
+    std::optional<ChatSessions> chat;
     if (cfg.chatbot) {
-        auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto userOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                                  std::uint32_t>>();
-        std::vector<workload::Request> first =
-            traces->chatbotFirstTurn(cfg.users, 0, cfg.prefixTokens);
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            const workload::Request &r = first[i];
-            (*turnOf)[r.id] = 0;
-            (*userOf)[r.id] = r.userId;
-            (*promptOf)[r.id] = r.promptTokens;
-            promptTotal += r.promptTokens;
-            noteGroup(r);
-            serve::VllmEngine &eng =
-                *engines[engineFor(r.userId, r.arrival)];
-            tb.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        std::uint32_t turns = cfg.turns;
-        std::uint32_t sysTokens = cfg.prefixTokens;
-        // Each completion issues the user's next turn on a *different*
-        // engine, so the re-sent history is a cluster-remote prefix.
-        auto followUp = [&, traces, turnOf, userOf, promptOf, sysTokens,
-                         turns](const workload::RequestMetrics &m) {
-            std::uint32_t turn = (*turnOf)[m.id];
-            std::uint32_t user = (*userOf)[m.id];
-            if (turn + 1 >= turns)
-                return;
-            std::uint32_t history =
-                (*promptOf)[m.id] + m.tokensGenerated;
-            workload::Request next = traces->chatbotFollowUp(
-                user, turn + 1, tb.sim().now(), history, sysTokens);
-            (*turnOf)[next.id] = turn + 1;
-            (*userOf)[next.id] = user;
-            (*promptOf)[next.id] = next.promptTokens;
-            promptTotal += next.promptTokens;
-            serve::VllmEngine &eng = *engines[engineFor(
-                std::size_t(user) + turn + 1, next.arrival)];
-            tb.sim().queue().schedule(next.arrival, [&eng, next] {
-                eng.submit(next);
-            });
-        };
-        for (auto &engine : engines)
-            engine->onComplete(followUp);
+        // Each user's next turn lands on a *different* engine, so the
+        // re-sent history is a cluster-remote prefix.
+        chat.emplace(tb.sim(), cfg.turns, cfg.prefixTokens);
+        chat->start(
+            cfg.users, pointers(engines),
+            [&](const workload::Request &r) {
+                return engineFor(std::size_t(r.userId) + r.turn,
+                                 r.arrival);
+            },
+            onIssue);
         expected = std::size_t(cfg.users) * cfg.turns;
     } else {
-        std::vector<workload::Request> trace = traces->sharedPrefix(
+        workload::TraceBuilder traces(tb.sim().makeRandom());
+        std::vector<workload::Request> trace = traces.sharedPrefix(
             cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens);
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const workload::Request &r = trace[i];
-            promptTotal += r.promptTokens;
-            noteGroup(r);
+            onIssue(r);
             serve::VllmEngine &eng = *engines[engineFor(i, r.arrival)];
             tb.sim().queue().schedule(r.arrival, [&eng, r] {
                 eng.submit(r);
@@ -768,32 +816,7 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         }
         expected = trace.size();
     }
-
-    runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
-        std::size_t done = 0;
-        for (const auto &engine : engines)
-            done += engine->finished().size();
-        return done >= expected;
-    });
-
-    ClusterPrefixResult result;
-    std::uint64_t tokens = 0;
-    for (const auto &engine : engines) {
-        for (const workload::RequestMetrics &m : engine->finished())
-            result.metrics.push_back(m);
-        result.engine += engine->prefixEngineStats();
-        tokens += engine->totalTokens();
-    }
-    sortById(result.metrics);
-    result.unfinished = expected > result.metrics.size()
-                            ? expected - result.metrics.size()
-                            : 0;
-    result.promptTokens = promptTotal;
-    result.aggregateHitRate =
-        promptTotal > 0
-            ? static_cast<double>(result.engine.cachedTokens) /
-                  promptTotal
-            : 0.0;
+    drainEngines(tb.sim(), cfg.maxSimSeconds, engines, expected, result);
 
     // Residency: full preamble blocks each engine still has indexed.
     for (const workload::Request &rep : groupReps) {
@@ -828,11 +851,6 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         result.registry = registry->stats();
         result.activePins = registry->activePins();
     }
-
-    double elapsed = ticksToSec(tb.sim().now());
-    result.elapsedSec = elapsed;
-    result.tokensPerSec =
-        elapsed > 0.0 ? static_cast<double>(tokens) / elapsed : 0.0;
     return result;
 }
 
@@ -851,7 +869,7 @@ constexpr double fabricDegradeFactor = 0.05;
 FederationRunResult
 runFederation(const FederationRunConfig &cfg)
 {
-    std::size_t n = std::max<std::size_t>(2, cfg.servers);
+    constexpr std::size_t n = federationServers;
     MultiServerCluster cluster(
         n, std::max<std::size_t>(2, cfg.gpusPerServer), cfg.seed);
     ModelSpec spec = presetByName(cfg.consumerModel);
@@ -924,13 +942,7 @@ runFederation(const FederationRunConfig &cfg)
             reg0->onGpuFailed(gpu, cluster.sim().now());
         });
         fault::FaultPlan plan;
-        fault::FaultSpec kill;
-        kill.kind = fault::FaultKind::GpuFail;
-        kill.at = chaosAt;
-        kill.duration = 0; // permanent
-        kill.gpu = 0;
-        kill.grace = msToTicks(200.0);
-        plan.add(kill);
+        plan.add(gpu0Kill(chaosAt));
         fault::FaultSpec degrade;
         degrade.kind = fault::FaultKind::LinkDegrade;
         degrade.link = fault::FaultLink::Fabric;
@@ -948,77 +960,36 @@ runFederation(const FederationRunConfig &cfg)
         return e;
     };
 
-    std::size_t expected = 0;
-    std::uint64_t promptTotal = 0;
-    std::uint64_t tailTotal = 0;
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        cluster.sim().makeRandom());
+    FederationRunResult result;
+    auto onIssue = [&](const workload::Request &r) {
+        result.promptTokens += r.promptTokens;
+        result.tailTokens += r.promptTokens > r.prefixTokens
+                                 ? r.promptTokens - r.prefixTokens
+                                 : 0;
+    };
 
+    std::size_t expected = 0;
+    std::optional<ChatSessions> chat;
     if (cfg.chatbot) {
-        auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto userOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                                  std::uint32_t>>();
-        std::vector<workload::Request> first =
-            traces->chatbotFirstTurn(cfg.users, 0, cfg.prefixTokens);
-        for (const workload::Request &r : first) {
-            (*turnOf)[r.id] = 0;
-            (*userOf)[r.id] = r.userId;
-            (*promptOf)[r.id] = r.promptTokens;
-            promptTotal += r.promptTokens;
-            tailTotal += r.promptTokens > cfg.prefixTokens
-                             ? r.promptTokens - cfg.prefixTokens
-                             : 0;
-            serve::VllmEngine &eng =
-                *engines[engineFor(r.userId, r.arrival)];
-            cluster.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        std::uint32_t turns = cfg.turns;
-        std::uint32_t sysTokens = cfg.prefixTokens;
-        // Each completion issues the user's next turn on a different
-        // *server*, so the re-sent history is only reachable through
-        // the federation directory (the per-server registries have
-        // never seen it).
-        auto followUp = [&, traces, turnOf, userOf, promptOf, sysTokens,
-                         turns](const workload::RequestMetrics &m) {
-            std::uint32_t turn = (*turnOf)[m.id];
-            std::uint32_t user = (*userOf)[m.id];
-            if (turn + 1 >= turns)
-                return;
-            std::uint32_t history =
-                (*promptOf)[m.id] + m.tokensGenerated;
-            workload::Request next = traces->chatbotFollowUp(
-                user, turn + 1, cluster.sim().now(), history,
-                sysTokens);
-            (*turnOf)[next.id] = turn + 1;
-            (*userOf)[next.id] = user;
-            (*promptOf)[next.id] = next.promptTokens;
-            promptTotal += next.promptTokens;
-            tailTotal += next.promptTokens > sysTokens
-                             ? next.promptTokens - sysTokens
-                             : 0;
-            serve::VllmEngine &eng = *engines[engineFor(
-                std::size_t(user) + turn + 1, next.arrival)];
-            cluster.sim().queue().schedule(next.arrival, [&eng, next] {
-                eng.submit(next);
-            });
-        };
-        for (auto &engine : engines)
-            engine->onComplete(followUp);
+        // Each user's next turn lands on a different *server*, so the
+        // re-sent history is only reachable through the federation
+        // directory (the per-server registries have never seen it).
+        chat.emplace(cluster.sim(), cfg.turns, cfg.prefixTokens);
+        chat->start(
+            cfg.users, pointers(engines),
+            [&](const workload::Request &r) {
+                return engineFor(std::size_t(r.userId) + r.turn,
+                                 r.arrival);
+            },
+            onIssue);
         expected = std::size_t(cfg.users) * cfg.turns;
     } else {
-        std::vector<workload::Request> trace = traces->sharedPrefix(
+        workload::TraceBuilder traces(cluster.sim().makeRandom());
+        std::vector<workload::Request> trace = traces.sharedPrefix(
             cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens);
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const workload::Request &r = trace[i];
-            promptTotal += r.promptTokens;
-            tailTotal += r.promptTokens > r.prefixTokens
-                             ? r.promptTokens - r.prefixTokens
-                             : 0;
+            onIssue(r);
             serve::VllmEngine &eng = *engines[engineFor(i, r.arrival)];
             cluster.sim().queue().schedule(r.arrival, [&eng, r] {
                 eng.submit(r);
@@ -1026,33 +997,8 @@ runFederation(const FederationRunConfig &cfg)
         }
         expected = trace.size();
     }
-
-    runUntilDone(cluster.sim(), cfg.maxSimSeconds, [&] {
-        std::size_t done = 0;
-        for (const auto &engine : engines)
-            done += engine->finished().size();
-        return done >= expected;
-    });
-
-    FederationRunResult result;
-    std::uint64_t tokens = 0;
-    for (const auto &engine : engines) {
-        for (const workload::RequestMetrics &m : engine->finished())
-            result.metrics.push_back(m);
-        result.engine += engine->prefixEngineStats();
-        tokens += engine->totalTokens();
-    }
-    sortById(result.metrics);
-    result.unfinished = expected > result.metrics.size()
-                            ? expected - result.metrics.size()
-                            : 0;
-    result.promptTokens = promptTotal;
-    result.tailTokens = tailTotal;
-    result.aggregateHitRate =
-        promptTotal > 0
-            ? static_cast<double>(result.engine.cachedTokens) /
-                  promptTotal
-            : 0.0;
+    drainEngines(cluster.sim(), cfg.maxSimSeconds, engines, expected,
+                 result);
 
     if (cfg.federation) {
         for (std::size_t i = 0; i < n; ++i)
@@ -1072,11 +1018,6 @@ runFederation(const FederationRunConfig &cfg)
         mix(m.tokensGenerated);
     }
     result.outputDigest = h;
-
-    double elapsed = ticksToSec(cluster.sim().now());
-    result.elapsedSec = elapsed;
-    result.tokensPerSec =
-        elapsed > 0.0 ? static_cast<double>(tokens) / elapsed : 0.0;
     return result;
 }
 
@@ -1093,27 +1034,10 @@ runOverload(const OverloadRunConfig &cfg)
     constexpr hw::GpuId consumerGpu = 0;
     constexpr hw::GpuId producerGpu = 1;
 
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        core::AquaLib &consumerLib = tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    Offload offload = wireOffload(tb, consumerGpu, producerGpu,
+                                  cfg.producerModel,
+                                  cfg.mode == ServeMode::CfsAqua);
+    core::AquaLib *producerLib = offload.producerLib;
     serve::VllmEngineConfig engineCfg;
     // Prefix caching on: its byte-identity checks cover every swap
     // round trip, which is what the chaos acceptance criterion audits.
@@ -1130,8 +1054,10 @@ runOverload(const OverloadRunConfig &cfg)
     if (cfg.precisionGovernor)
         engineCfg.precisionGovernor =
             overload::KvPrecisionGovernorConfig{};
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), offload.backend,
+                               engineCfg);
     if (cfg.traceLog)
         consumer.setTraceLog(cfg.traceLog);
     if (cfg.controlled && cfg.mode == ServeMode::CfsAqua) {
@@ -1277,59 +1203,17 @@ runTiering(const TieringRunConfig &cfg)
         inj->arm(*cfg.faults);
     }
 
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        tb.sim().makeRandom());
     workload::IdleSpec idle;
     idle.coldFraction = cfg.coldFraction;
     idle.meanIdleSec = cfg.meanIdleSec;
     idle.minIdleSec = cfg.minIdleSec;
-    traces->setIdle(idle);
-
-    auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto userOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                              std::uint32_t>>();
-    auto gapOf = std::make_shared<std::map<std::uint64_t, double>>();
-    auto coldIds = std::make_shared<std::set<std::uint64_t>>();
-
-    std::vector<workload::Request> first =
-        traces->chatbotFirstTurn(cfg.users);
-    for (const workload::Request &r : first) {
-        (*turnOf)[r.id] = 0;
-        (*userOf)[r.id] = r.userId;
-        (*promptOf)[r.id] = r.promptTokens;
-        (*gapOf)[r.id] = r.idleGapSec;
-    }
-    driveTrace(tb.sim(), consumer, first);
-
-    std::uint32_t turns = cfg.turns;
-    consumer.onComplete([&, traces, turnOf, userOf, promptOf, gapOf,
-                         coldIds](const workload::RequestMetrics &m) {
-        std::uint32_t turn = (*turnOf)[m.id];
-        std::uint32_t user = (*userOf)[m.id];
-        if (turn + 1 >= turns)
-            return;
-        // A cold session's next turn arrives only after the idle gap;
-        // warm sessions reply at chat pace.
-        double gap = (*gapOf)[m.id];
-        Tick comeBack = tb.sim().now() + secToTicks(gap);
-        std::uint32_t history = (*promptOf)[m.id] + m.tokensGenerated;
-        workload::Request next =
-            traces->chatbotFollowUp(user, turn + 1, comeBack, history);
-        if (gap > 0.0)
-            next.coldResume = true;
-        (*turnOf)[next.id] = turn + 1;
-        (*userOf)[next.id] = user;
-        (*promptOf)[next.id] = next.promptTokens;
-        (*gapOf)[next.id] = next.idleGapSec;
-        if (next.coldResume)
-            coldIds->insert(next.id);
-        tb.sim().queue().schedule(next.arrival, [&consumer, next] {
-            consumer.submit(next);
-        });
-    });
+    ChatSessions chat(tb.sim(), cfg.turns, 0, idle);
+    std::set<std::uint64_t> coldIds;
+    chat.start(cfg.users, {&consumer}, {},
+               [&](const workload::Request &r) {
+                   if (r.coldResume)
+                       coldIds.insert(r.id);
+               });
 
     std::size_t expected = std::size_t(cfg.users) * cfg.turns;
     runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
@@ -1352,9 +1236,9 @@ runTiering(const TieringRunConfig &cfg)
     for (const workload::RequestMetrics &m : res.metrics) {
         if (!m.started())
             continue;
-        if (coldIds->count(m.id))
+        if (coldIds.count(m.id))
             coldTtft.add(m.ttftSec());
-        else if ((*turnOf)[m.id] > 0)
+        else if (chat.turnOf(m.id) > 0)
             warmTtft.add(m.ttftSec());
     }
     if (!coldTtft.empty()) {

@@ -324,20 +324,28 @@ struct ClusterPrefixConfig
     trace::TraceLog *traceLog = nullptr;
 };
 
-struct ClusterPrefixResult
+/** What a run of several prefix-caching engines reports. */
+struct MultiEngineRunResult
 {
     /** All finished metrics across engines, id order. */
     std::vector<workload::RequestMetrics> metrics;
     /** Requests submitted but never finished (must be 0). */
     std::uint64_t unfinished = 0;
 
-    /** Engine-side prefix counters, summed over engines. */
+    /** Engine-side prefix (and federation) counters, summed over
+     *  engines. */
     serve::PrefixCacheEngineStats engine;
-    /** Prompt tokens across finished requests. */
+    /** Prompt tokens across issued requests. */
     std::uint64_t promptTokens = 0;
     /** engine.cachedTokens / promptTokens (the aggregate hit rate). */
     double aggregateHitRate = 0.0;
 
+    double tokensPerSec = 0.0;
+    double elapsedSec = 0.0;
+};
+
+struct ClusterPrefixResult : MultiEngineRunResult
+{
     /** Preamble KV bytes resident across all engines at the end. */
     std::uint64_t residentPrefixBytes = 0;
     /** Bytes of one resident copy of every preamble. */
@@ -349,9 +357,6 @@ struct ClusterPrefixResult
     cluster::PrefixRegistryStats registry;
     /** Leases still outstanding after the drain (must be 0). */
     std::uint64_t activePins = 0;
-
-    double tokensPerSec = 0.0;
-    double elapsedSec = 0.0;
 };
 
 ClusterPrefixResult runClusterPrefix(const ClusterPrefixConfig &cfg);
@@ -368,10 +373,12 @@ ClusterPrefixResult runClusterPrefix(const ClusterPrefixConfig &cfg);
 // and degrades the fabric mid-run.
 //
 
+/** Servers on the fabric in a federation run (one consumer engine
+ *  each, on gpu 0). */
+inline constexpr std::size_t federationServers = 3;
+
 struct FederationRunConfig
 {
-    /** Servers on the fabric (one consumer engine each, on gpu 0). */
-    std::size_t servers = 3;
     std::size_t gpusPerServer = 2;
     /** false = siloed per-server registries (the baseline). */
     bool federation = true;
@@ -407,23 +414,12 @@ struct FederationRunConfig
     trace::TraceLog *traceLog = nullptr;
 };
 
-struct FederationRunResult
+struct FederationRunResult : MultiEngineRunResult
 {
-    /** All finished metrics across servers, id order. */
-    std::vector<workload::RequestMetrics> metrics;
-    /** Requests submitted but never finished (must be 0). */
-    std::uint64_t unfinished = 0;
-
-    std::uint64_t promptTokens = 0;
     /** Prompt tokens outside the shared preamble (per-request tails;
      *  promptTokens - tailTokens - engine.cachedTokens bounds the
      *  preamble tokens actually re-prefilled across the cluster). */
     std::uint64_t tailTokens = 0;
-    double aggregateHitRate = 0.0;
-
-    /** Engine-side prefix and federation counters, summed over
-     *  servers. */
-    serve::PrefixCacheEngineStats engine;
     /** Directory counters, summed over servers (zero when
      *  federation = false). */
     federation::DirectoryStats directory;
@@ -436,9 +432,6 @@ struct FederationRunResult
      * federation disabled, and to its chaos twin.
      */
     std::uint64_t outputDigest = 0;
-
-    double tokensPerSec = 0.0;
-    double elapsedSec = 0.0;
 };
 
 FederationRunResult runFederation(const FederationRunConfig &cfg);

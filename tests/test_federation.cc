@@ -451,10 +451,9 @@ TEST(MultiServer, FactoryBuildsSharedClockClusterWithFederation)
 // Engine-level federation.
 //
 
-TEST(FederationEngine, TwoServerEndToEndStreamsThePreamble)
+TEST(FederationEngine, EndToEndStreamsThePreamble)
 {
     exp::FederationRunConfig cfg;
-    cfg.servers = 2;
     cfg.numRequests = 8;
     cfg.ratePerSec = 2.0;
     cfg.maxSimSeconds = 2000.0;
