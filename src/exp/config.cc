@@ -1,6 +1,9 @@
 #include "exp/config.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <initializer_list>
+#include <optional>
 
 #include "exp/experiments.hh"
 #include "hw/gpu_spec.hh"
@@ -90,6 +93,31 @@ fail(const std::string &why)
     return r;
 }
 
+/**
+ * Fail @p experiment's spec on its first malformed field: each of
+ * @p positives (rates, durations) must be finite and > 0, and each of
+ * @p counts an integer >= 0. Absent fields keep their defaults.
+ */
+std::optional<ConfigRunResult>
+checkFields(const Value &spec, const std::string &experiment,
+            std::initializer_list<const char *> positives,
+            std::initializer_list<const char *> counts)
+{
+    for (const char *key : positives) {
+        double v = spec.getDouble(key, 1.0);
+        if (!std::isfinite(v) || v <= 0.0)
+            return fail(experiment + ": " + key +
+                        " must be finite and positive");
+    }
+    for (const char *key : counts) {
+        double v = spec.getDouble(key, 0.0);
+        if (!(v >= 0.0) || v != std::floor(v))
+            return fail(experiment + ": " + key +
+                        " must be a non-negative integer");
+    }
+    return std::nullopt;
+}
+
 ConfigRunResult
 succeed(Value results)
 {
@@ -102,6 +130,9 @@ succeed(Value results)
 ConfigRunResult
 runCfs(const Value &spec)
 {
+    if (auto bad = checkFields(spec, "cfs", {"rate_per_sec"},
+                               {"num_requests", "slice_tokens"}))
+        return *bad;
     CfsExperimentConfig cfg;
     auto mode = parseServeMode(spec.getString("mode", "aqua"));
     if (!mode)
@@ -132,6 +163,9 @@ runCfs(const Value &spec)
 ConfigRunResult
 runLongPromptSpec(const Value &spec)
 {
+    if (auto bad = checkFields(spec, "long_prompt", {"duration_s"},
+                               {"prompt_tokens", "pairs"}))
+        return *bad;
     LongPromptConfig cfg;
     auto mode = parseOffloadMode(spec.getString("mode", "aqua"));
     if (!mode)
@@ -165,6 +199,10 @@ runLongPromptSpec(const Value &spec)
 ConfigRunResult
 runLoraSpec(const Value &spec)
 {
+    if (auto bad = checkFields(spec, "lora", {"rate_per_sec"},
+                               {"num_adapters", "adapter_bytes",
+                                "cache_bytes", "num_requests"}))
+        return *bad;
     LoraExperimentConfig cfg;
     auto mode = parseOffloadMode(spec.getString("mode", "aqua"));
     if (!mode)
@@ -200,6 +238,8 @@ runLoraSpec(const Value &spec)
 ConfigRunResult
 runElasticSpec(const Value &spec)
 {
+    if (auto bad = checkFields(spec, "elastic", {"duration_s"}, {}))
+        return *bad;
     ElasticExperimentConfig cfg;
     cfg.withAqua = spec.getBool("with_aqua", true);
     cfg.durationSec = spec.getDouble("duration_s", cfg.durationSec);
@@ -231,6 +271,8 @@ runElasticSpec(const Value &spec)
 ConfigRunResult
 runChatbotSpec(const Value &spec)
 {
+    if (auto bad = checkFields(spec, "chatbot", {}, {"users", "turns"}))
+        return *bad;
     ChatbotConfig cfg;
     auto mode = parseServeMode(spec.getString("mode", "aqua"));
     if (!mode)
@@ -270,7 +312,8 @@ runContentionSpec(const Value &spec)
     if (const Value *arr = spec.find("batch_sizes");
         arr && arr->isArray()) {
         for (const Value &v : arr->asArray()) {
-            if (!v.isNumber() || v.asInt() <= 0)
+            if (!v.isNumber() || v.asDouble() <= 0.0 ||
+                v.asDouble() != std::floor(v.asDouble()))
                 return fail("contention: batch sizes must be "
                             "positive integers");
             batches.push_back(
@@ -296,6 +339,9 @@ runContentionSpec(const Value &spec)
 ConfigRunResult
 runPlacementSpec(const Value &spec)
 {
+    if (auto bad = checkFields(spec, "placement", {},
+                               {"servers", "gpus_per_server"}))
+        return *bad;
     placer::PlacementInput input;
     input.numServers = static_cast<std::size_t>(
         spec.getInt("servers", 0));
@@ -367,6 +413,8 @@ namespace {
 ConfigRunResult
 runEndToEndSpec(const Value &spec)
 {
+    if (auto bad = checkFields(spec, "e2e", {"duration_s"}, {"servers"}))
+        return *bad;
     EndToEndConfig cfg;
     cfg.split = spec.getString("split", cfg.split);
     if (cfg.split != "balanced" && cfg.split != "llm-heavy")

@@ -174,3 +174,68 @@ TEST(Config, EndToEndSpecRuns)
                      R"({"experiment": "e2e", "split": "x"})")
                      .ok);
 }
+
+namespace {
+
+/** The spec fails cleanly, naming @p field in its error. */
+void
+expectRejected(const std::string &spec, const std::string &field)
+{
+    ConfigRunResult r = runFromJsonText(spec);
+    EXPECT_FALSE(r.ok) << spec;
+    EXPECT_NE(r.error.find(field), std::string::npos)
+        << spec << " -> " << r.error;
+}
+
+} // anonymous namespace
+
+TEST(Config, RejectsRatesThatAreNotPositive)
+{
+    expectRejected(R"({"experiment": "cfs", "num_requests": 3,)"
+                   R"( "rate_per_sec": 0})",
+                   "rate_per_sec");
+    expectRejected(R"({"experiment": "cfs", "rate_per_sec": -2})",
+                   "rate_per_sec");
+    expectRejected(R"({"experiment": "lora", "rate_per_sec": 0})",
+                   "rate_per_sec");
+    expectRejected(R"({"experiment": "lora", "rate_per_sec": 1e999})",
+                   "rate_per_sec");
+}
+
+TEST(Config, RejectsDurationsThatAreNotPositive)
+{
+    expectRejected(R"({"experiment": "long_prompt", "duration_s": -5})",
+                   "duration_s");
+    expectRejected(R"({"experiment": "e2e", "duration_s": -1})",
+                   "duration_s");
+    expectRejected(R"({"experiment": "elastic", "duration_s": -1})",
+                   "duration_s");
+    expectRejected(R"({"experiment": "elastic", "duration_s": 0})",
+                   "duration_s");
+}
+
+TEST(Config, RejectsCountsThatAreNotNonNegativeIntegers)
+{
+    expectRejected(R"({"experiment": "cfs", "num_requests": -1})",
+                   "num_requests");
+    expectRejected(R"({"experiment": "cfs", "slice_tokens": -5})",
+                   "slice_tokens");
+    expectRejected(R"({"experiment": "cfs", "num_requests": 2.5})",
+                   "num_requests");
+    expectRejected(R"({"experiment": "chatbot", "users": -1})", "users");
+    expectRejected(R"({"experiment": "chatbot", "turns": -2})", "turns");
+    expectRejected(R"({"experiment": "lora", "adapter_bytes": -1})",
+                   "adapter_bytes");
+    expectRejected(R"({"experiment": "lora", "num_adapters": -3})",
+                   "num_adapters");
+    expectRejected(R"({"experiment": "long_prompt",)"
+                   R"( "prompt_tokens": -3})",
+                   "prompt_tokens");
+    expectRejected(R"({"experiment": "e2e", "servers": -1})", "servers");
+    expectRejected(R"({"experiment": "placement", "servers": -2,)"
+                   R"( "gpus_per_server": 2, "split": "balanced"})",
+                   "servers");
+    expectRejected(R"({"experiment": "contention",)"
+                   R"( "batch_sizes": [1, 2.5]})",
+                   "batch sizes");
+}
