@@ -271,18 +271,16 @@ AquaLib::executeOrder(const MigrationOrder &order)
         }
         if (order.emergency) {
             // The donor is dead: race its grace window. Pull the
-            // tensor to the local GPU with a staged gather (large
-            // NVLink transfers), then push it down to DRAM — both
-            // legs through the staging engine.
+            // tensor to the local GPU in large NVLink chunks, then
+            // push it down to DRAM — both legs coalesced through the
+            // staging engine (a tensor under two chunks is one copy).
             std::uint64_t nChunks = order.bytes / emergencyChunkBytes;
-            if (nChunks == 0)
-                nChunks = 1;
-            std::vector<CopyDesc> descs =
-                StagingEngine::uniformChunks(order.bytes, nChunks);
             hw::TransferTiming pull =
-                engine.transferIn(order.from.gpu, descs);
-            hw::TransferTiming push = engine.transferOut(
-                hw::hostDramId, descs, pull.complete);
+                scatteredCopy(topo, order.from.gpu, myGpu, order.bytes,
+                              nChunks, &engine);
+            hw::TransferTiming push =
+                scatteredCopy(topo, myGpu, hw::hostDramId, order.bytes,
+                              nChunks, &engine, pull.complete);
             timing = hw::TransferTiming{pull.start, push.complete};
             ++counters.emergencyMigrations;
             Value ev;

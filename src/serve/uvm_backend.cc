@@ -1,5 +1,6 @@
 #include "serve/uvm_backend.hh"
 
+#include "aqua/staging.hh"
 #include "sim/logging.hh"
 
 namespace aqua::serve {
@@ -24,13 +25,12 @@ UvmBackend::paged(const Handle &handle, std::uint64_t bytes,
 
     // Pages cross PCIe individually; fault handling stalls the
     // accessing kernel once per wavefront on top of the transfer.
+    hw::GpuId src = toGpu ? hw::hostDramId : gpu;
+    hw::GpuId dst = toGpu ? gpu : hw::hostDramId;
     hw::TransferTiming t =
-        toGpu ? server.topology().copyChunked(hw::hostDramId, gpu,
-                                              pages * uvmPageBytes,
-                                              pages, {}, earliest)
-              : server.topology().copyChunked(gpu, hw::hostDramId,
-                                              pages * uvmPageBytes,
-                                              pages, {}, earliest);
+        core::scatteredCopy(server.topology(), src, dst,
+                            pages * uvmPageBytes, pages, nullptr,
+                            earliest);
     t.complete += wavefronts * faultLatency;
     return t;
 }
