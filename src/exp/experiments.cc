@@ -269,28 +269,54 @@ gpu0Kill(Tick at)
     return f;
 }
 
-/** Non-owning pointers to @p engines. */
-std::vector<serve::VllmEngine *>
-pointers(const std::vector<std::unique_ptr<serve::VllmEngine>> &engines)
-{
-    std::vector<serve::VllmEngine *> out;
-    for (const auto &engine : engines)
-        out.push_back(engine.get());
-    return out;
-}
-
 /**
- * Run until @p engines have finished @p expected requests between
- * them, then fold their outcomes into @p result: every finished
- * request in id order, the summed prefix counters, the aggregate hit
- * rate over the issued result.promptTokens and the token throughput.
+ * Serve @p cfg's shared-preamble traffic on @p engines and fold their
+ * outcomes into @p result. The traffic is either chat sessions, whose
+ * turn t of user u goes to engine engineFor(u + t, arrival), or a
+ * single-shot trace, whose request i goes to engineFor(i, arrival);
+ * @p onIssue sees every request as it is issued. The fold takes every
+ * finished request in id order, the summed prefix counters, the
+ * aggregate hit rate over the issued result.promptTokens and the
+ * token throughput.
  */
+template <typename Config>
 void
-drainEngines(Simulation &sim, double maxSimSeconds,
-             const std::vector<std::unique_ptr<serve::VllmEngine>> &engines,
-             std::size_t expected, MultiEngineRunResult &result)
+runPreambleTraffic(
+    Simulation &sim, const Config &cfg,
+    const std::vector<std::unique_ptr<serve::VllmEngine>> &engines,
+    const std::function<std::size_t(std::size_t, Tick)> &engineFor,
+    const ChatSessions::OnIssue &onIssue, MultiEngineRunResult &result)
 {
-    runUntilDone(sim, maxSimSeconds, [&] {
+    std::size_t expected = 0;
+    std::optional<ChatSessions> chat;
+    if (cfg.chatbot) {
+        std::vector<serve::VllmEngine *> all;
+        for (const auto &engine : engines)
+            all.push_back(engine.get());
+        chat.emplace(sim, cfg.turns, cfg.prefixTokens);
+        chat->start(
+            cfg.users, std::move(all),
+            [&](const workload::Request &r) {
+                return engineFor(std::size_t(r.userId) + r.turn,
+                                 r.arrival);
+            },
+            onIssue);
+        expected = std::size_t(cfg.users) * cfg.turns;
+    } else {
+        workload::TraceBuilder traces(sim.makeRandom());
+        std::vector<workload::Request> trace = traces.sharedPrefix(
+            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens);
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const workload::Request &r = trace[i];
+            onIssue(r);
+            serve::VllmEngine &eng = *engines[engineFor(i, r.arrival)];
+            sim.queue().schedule(r.arrival,
+                                 [&eng, r] { eng.submit(r); });
+        }
+        expected = trace.size();
+    }
+
+    runUntilDone(sim, cfg.maxSimSeconds, [&] {
         std::size_t done = 0;
         for (const auto &engine : engines)
             done += engine->finished().size();
@@ -788,42 +814,15 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         groupReps.push_back(r);
     };
 
-    std::size_t expected = 0;
-    std::optional<ChatSessions> chat;
-    if (cfg.chatbot) {
-        // Each user's next turn lands on a *different* engine, so the
-        // re-sent history is a cluster-remote prefix.
-        chat.emplace(tb.sim(), cfg.turns, cfg.prefixTokens);
-        chat->start(
-            cfg.users, pointers(engines),
-            [&](const workload::Request &r) {
-                return engineFor(std::size_t(r.userId) + r.turn,
-                                 r.arrival);
-            },
-            onIssue);
-        expected = std::size_t(cfg.users) * cfg.turns;
-    } else {
-        workload::TraceBuilder traces(tb.sim().makeRandom());
-        std::vector<workload::Request> trace = traces.sharedPrefix(
-            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens);
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            const workload::Request &r = trace[i];
-            onIssue(r);
-            serve::VllmEngine &eng = *engines[engineFor(i, r.arrival)];
-            tb.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        expected = trace.size();
-    }
-    drainEngines(tb.sim(), cfg.maxSimSeconds, engines, expected, result);
+    // A chat user's next turn lands on a *different* engine, so the
+    // re-sent history is a cluster-remote prefix.
+    runPreambleTraffic(tb.sim(), cfg, engines, engineFor, onIssue,
+                       result);
 
     // Residency: full preamble blocks each engine still has indexed.
     for (const workload::Request &rep : groupReps) {
         serve::TokenFn tok = serve::tokenFnFor(rep);
-        std::uint32_t preamble = cfg.chatbot
-                                     ? cfg.prefixTokens
-                                     : rep.prefixTokens;
+        std::uint32_t preamble = rep.prefixTokens;
         for (std::size_t i = 0; i < n; ++i) {
             if (tb.server().topology().gpuFailed(
                     static_cast<hw::GpuId>(i)))
@@ -968,37 +967,11 @@ runFederation(const FederationRunConfig &cfg)
                                  : 0;
     };
 
-    std::size_t expected = 0;
-    std::optional<ChatSessions> chat;
-    if (cfg.chatbot) {
-        // Each user's next turn lands on a different *server*, so the
-        // re-sent history is only reachable through the federation
-        // directory (the per-server registries have never seen it).
-        chat.emplace(cluster.sim(), cfg.turns, cfg.prefixTokens);
-        chat->start(
-            cfg.users, pointers(engines),
-            [&](const workload::Request &r) {
-                return engineFor(std::size_t(r.userId) + r.turn,
-                                 r.arrival);
-            },
-            onIssue);
-        expected = std::size_t(cfg.users) * cfg.turns;
-    } else {
-        workload::TraceBuilder traces(cluster.sim().makeRandom());
-        std::vector<workload::Request> trace = traces.sharedPrefix(
-            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens);
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            const workload::Request &r = trace[i];
-            onIssue(r);
-            serve::VllmEngine &eng = *engines[engineFor(i, r.arrival)];
-            cluster.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        expected = trace.size();
-    }
-    drainEngines(cluster.sim(), cfg.maxSimSeconds, engines, expected,
-                 result);
+    // A chat user's next turn lands on a different *server*, so the
+    // re-sent history is only reachable through the federation
+    // directory (the per-server registries have never seen it).
+    runPreambleTraffic(cluster.sim(), cfg, engines, engineFor, onIssue,
+                       result);
 
     if (cfg.federation) {
         for (std::size_t i = 0; i < n; ++i)
