@@ -190,6 +190,16 @@ class ChatSessions
         traces.setIdle(idle);
     }
 
+    ChatSessions(const ChatSessions &) = delete;
+    ChatSessions &operator=(const ChatSessions &) = delete;
+
+    /** Unhooks the engines, whose completions would call back here. */
+    ~ChatSessions()
+    {
+        for (serve::VllmEngine *engine : engines)
+            engine->onComplete({});
+    }
+
     /**
      * Issue every user's first turn to @p engines (all to the first
      * one without a @p route), and have each engine's completions
