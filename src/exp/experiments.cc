@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "exp/testbed.hh"
 #include "fault/fault.hh"
@@ -221,11 +220,11 @@ class ChatSessions
             });
     }
 
-    /** The turn an issued request belongs to. */
-    std::uint32_t
-    turnOf(std::uint64_t id) const
+    /** An issued request (its turn, cold-resume flag, ...). */
+    const workload::Request &
+    request(std::uint64_t id) const
     {
-        return issued.at(id).turn;
+        return issued.at(id);
     }
 
   private:
@@ -662,7 +661,7 @@ runChatbot(const ChatbotConfig &cfg)
     ChatbotResult result;
     for (const workload::RequestMetrics &m : consumer.finished()) {
         ChatbotResult::TurnMetric tm;
-        tm.turn = chat.turnOf(m.id);
+        tm.turn = chat.request(m.id).turn;
         tm.metrics = m;
         result.metrics.push_back(tm);
     }
@@ -1191,12 +1190,7 @@ runTiering(const TieringRunConfig &cfg)
     idle.meanIdleSec = cfg.meanIdleSec;
     idle.minIdleSec = cfg.minIdleSec;
     ChatSessions chat(tb.sim(), cfg.turns, 0, idle);
-    std::set<std::uint64_t> coldIds;
-    chat.start(cfg.users, {&consumer}, {},
-               [&](const workload::Request &r) {
-                   if (r.coldResume)
-                       coldIds.insert(r.id);
-               });
+    chat.start(cfg.users, {&consumer});
 
     std::size_t expected = std::size_t(cfg.users) * cfg.turns;
     runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
@@ -1219,9 +1213,10 @@ runTiering(const TieringRunConfig &cfg)
     for (const workload::RequestMetrics &m : res.metrics) {
         if (!m.started())
             continue;
-        if (coldIds.count(m.id))
+        const workload::Request &r = chat.request(m.id);
+        if (r.coldResume)
             coldTtft.add(m.ttftSec());
-        else if (chat.turnOf(m.id) > 0)
+        else if (r.turn > 0)
             warmTtft.add(m.ttftSec());
     }
     if (!coldTtft.empty()) {
