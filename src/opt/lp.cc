@@ -351,9 +351,12 @@ class Simplex
 // depends on where they fall against fetch and cache-line boundaries:
 // on a 4-vCPU Xeon host the perfbench placement workload's run time
 // moved by up to 30% when unrelated code earlier in the link grew or
-// shrank. gnu::hot places the solver in .text.hot, ahead of the rest
-// of the simulator, so such changes no longer move it.
-[[gnu::hot]] LpResult
+// shrank. gnu::hot groups the solver in .text.hot, but the linker
+// still places every .text.unlikely (cold) fragment before it, so the
+// function also starts on a 64-byte boundary and this file is built
+// with -falign-loops=64 (src/opt/CMakeLists.txt): its loops then fall
+// at the same place in a cache line whatever code precedes them.
+[[gnu::hot, gnu::aligned(64)]] LpResult
 solveLp(const LinearProgram &lp)
 {
     Simplex solver(lp);
