@@ -56,6 +56,11 @@ if [[ "$bench_smoke" == 1 ]]; then
     "$build/bench/abl_offload_paths"
     "$build/bench/fig03_interconnect"
     "$build/bench/abl_interconnect_gen"
+    for b in fig01_motivation fig07_long_prompt fig08_lora_rct fig09_cfs \
+             fig10_elastic fig12_tensor_sizes fig15_17_appendix_cfs \
+             fig18_nvswitch appA2_long_lora abl_cfs_slice; do
+        "$build/bench/$b"
+    done
 fi
 
 if [[ "$chaos_smoke" == 1 ]]; then
