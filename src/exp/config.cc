@@ -96,7 +96,8 @@ fail(const std::string &why)
 /**
  * Fail @p experiment's spec on its first malformed field: each of
  * @p positives (rates, durations) must be finite and > 0, and each of
- * @p counts an integer >= 0. Absent fields keep their defaults.
+ * @p counts an integer in [0, 2^63), the range json::Value::asInt
+ * converts. Absent fields keep their defaults.
  */
 std::optional<ConfigRunResult>
 checkFields(const Value &spec, const std::string &experiment,
@@ -111,7 +112,7 @@ checkFields(const Value &spec, const std::string &experiment,
     }
     for (const char *key : counts) {
         double v = spec.getDouble(key, 0.0);
-        if (!(v >= 0.0) || v != std::floor(v))
+        if (!(v >= 0.0) || v != std::floor(v) || v >= 0x1p63)
             return fail(experiment + ": " + key +
                         " must be a non-negative integer");
     }

@@ -222,6 +222,8 @@ TEST(Config, RejectsCountsThatAreNotNonNegativeIntegers)
                    "slice_tokens");
     expectRejected(R"({"experiment": "cfs", "num_requests": 2.5})",
                    "num_requests");
+    expectRejected(R"({"experiment": "cfs", "num_requests": 1e30})",
+                   "num_requests");
     expectRejected(R"({"experiment": "chatbot", "users": -1})", "users");
     expectRejected(R"({"experiment": "chatbot", "turns": -2})", "turns");
     expectRejected(R"({"experiment": "lora", "adapter_bytes": -1})",
