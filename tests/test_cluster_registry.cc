@@ -4,13 +4,15 @@
  * lookup with verify fall-through, lease pin lifecycle against fake
  * agents, collision fallback, home failure and eviction promotion,
  * the REST surface (including the pin/reclaim race), and the
- * engine-level remote borrow/copy admission paths.
+ * engine-level remote borrow/copy admission paths, including their
+ * re-read under link corruption.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "serve/scheduler.hh"
 #include "serve/vllm_engine.hh"
 #include "sim/simulation.hh"
+#include "trace/trace.hh"
 #include "workload/request.hh"
 
 using namespace aqua;
@@ -510,4 +513,114 @@ TEST(ClusterRegistryEngine, EngineTeardownLeavesNoRegistryState)
     EXPECT_GE(reg.size(), 1u);
     e0b.reset();
     EXPECT_EQ(reg.size(), 0u);
+}
+
+//
+// Registry reads under link corruption: the pinned home copy is
+// intact, so a corrupted stream (or borrow probe) is read again.
+//
+
+namespace {
+
+struct RemoteReadRun
+{
+    double ttftSec = 0.0;
+    serve::PrefixCacheEngineStats prefix;
+    serve::IntegrityEngineStats integrity;
+    std::size_t detectedEvents = 0;
+    std::size_t repairedEvents = 0;
+    std::size_t activePins = 0;
+};
+
+/** Engine 0 publishes the preamble; engine 1 then admits a request
+ *  reading it remotely with every link payload corrupted at
+ *  probability @p corrupt. Events must name @p path. */
+RemoteReadRun
+remoteReadUnderCorruption(double corrupt, std::uint32_t borrowCap,
+                          const std::string &path)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    PrefixRegistry &reg = tb.makePrefixRegistry();
+    serve::VllmEngineConfig cfg;
+    cfg.prefixCache = true;
+    cfg.clusterBorrowMaxBlocks = borrowCap;
+
+    auto &backend0 = tb.makeDramBackend(0);
+    serve::VllmEngine e0(tb.server(), 0, model::codellama34b(),
+                         std::make_unique<serve::FcfsPolicy>(),
+                         backend0, cfg);
+    e0.attachClusterPrefix(&reg, &tb.makeAquaLib(0));
+    auto &backend1 = tb.makeDramBackend(1);
+    serve::VllmEngine e1(tb.server(), 1, model::codellama34b(),
+                         std::make_unique<serve::FcfsPolicy>(),
+                         backend1, cfg);
+    e1.attachClusterPrefix(&reg, &tb.makeAquaLib(1));
+    trace::TraceLog log;
+    e1.setTraceLog(&log);
+
+    e0.submit(sharedReq(0, 0, 800, 8, 768));
+    tb.sim().runUntil(secToTicks(30.0));
+    EXPECT_EQ(e0.finished().size(), 1u);
+
+    tb.server().topology().setPayloadCorruption(corrupt);
+    e1.submit(sharedReq(1, secToTicks(30.0), 800, 8, 768));
+    tb.sim().runUntil(secToTicks(90.0));
+    EXPECT_EQ(e1.finished().size(), 1u);
+
+    RemoteReadRun out;
+    if (!e1.finished().empty())
+        out.ttftSec = e1.finished()[0].ttftSec();
+    out.prefix = e1.prefixEngineStats();
+    out.integrity = e1.integrityStats();
+    for (const char *cat : {"corruption_detected", "corruption_repaired"}) {
+        for (const trace::Event &e : log.ofCategory(cat)) {
+            const json::Value *p = e.fields.find("path");
+            EXPECT_TRUE(p && p->asString() == path) << cat;
+            EXPECT_NE(e.fields.find("request"), nullptr) << cat;
+        }
+    }
+    out.detectedEvents = log.countCategory("corruption_detected");
+    out.repairedEvents = log.countCategory("corruption_repaired");
+    EXPECT_EQ(log.countCategory("corruption_recompute"), 0u);
+    out.activePins = reg.activePins();
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(ClusterRegistryEngine, CorruptedCopyIsReadAgainFromTheHome)
+{
+    RemoteReadRun clean = remoteReadUnderCorruption(0.0, 4, "");
+    RemoteReadRun hit = remoteReadUnderCorruption(1.0, 4, "prefix_copy");
+    EXPECT_EQ(clean.integrity.detected, 0u);
+    EXPECT_EQ(hit.prefix.copyAdmissions, 1u);
+    EXPECT_EQ(hit.integrity.detected, 1u);
+    EXPECT_EQ(hit.integrity.repairedRetransmit, 1u);
+    EXPECT_EQ(hit.integrity.recomputeFallbacks, 0u);
+    EXPECT_EQ(hit.detectedEvents, 1u);
+    EXPECT_EQ(hit.repairedEvents, 1u);
+    // The repaired copy still serves the preamble from the peer, a
+    // second stream later than the clean run.
+    EXPECT_EQ(hit.prefix.cachedTokens, clean.prefix.cachedTokens);
+    EXPECT_EQ(hit.prefix.remoteCopyBytes, clean.prefix.remoteCopyBytes);
+    EXPECT_GT(hit.ttftSec, clean.ttftSec);
+    EXPECT_EQ(hit.activePins, 0u);
+}
+
+TEST(ClusterRegistryEngine, CorruptedBorrowProbeIsReadAgain)
+{
+    RemoteReadRun clean = remoteReadUnderCorruption(0.0, 64, "");
+    RemoteReadRun hit =
+        remoteReadUnderCorruption(1.0, 64, "prefix_borrow");
+    EXPECT_EQ(clean.integrity.detected, 0u);
+    EXPECT_EQ(hit.prefix.borrowAdmissions, 1u);
+    EXPECT_EQ(hit.integrity.detected, 1u);
+    EXPECT_EQ(hit.integrity.repairedRetransmit, 1u);
+    EXPECT_EQ(hit.integrity.recomputeFallbacks, 0u);
+    EXPECT_EQ(hit.detectedEvents, 1u);
+    EXPECT_EQ(hit.repairedEvents, 1u);
+    EXPECT_EQ(hit.prefix.cachedTokens, clean.prefix.cachedTokens);
+    // The probe's re-read gates the admission's first token.
+    EXPECT_GT(hit.ttftSec, clean.ttftSec);
+    EXPECT_EQ(hit.activePins, 0u);
 }

@@ -11,6 +11,7 @@
 #include <bit>
 #include <functional>
 #include <map>
+#include <string>
 
 #include "bench/bench_util.hh"
 #include "exp/cluster_sim.hh"
@@ -19,6 +20,7 @@
 #include "fault/fault.hh"
 #include "serve/uvm_backend.hh"
 #include "tier/ssd_backend.hh"
+#include "trace/trace.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -415,6 +417,85 @@ TEST(GoldenOutputs, Tiering)
     EXPECT_EQ(r.ssdBytesRead, 915013632u);
     EXPECT_EQ(r.ssdBytesWritten, 2783182848u);
     EXPECT_EQ(r.unfinished, 0u);
+}
+
+TEST(GoldenOutputs, OverloadPayloadCorrupt)
+{
+    // Half of all link payloads corrupt for most of the run: swap-ins
+    // from the AQUA donor detect and re-read.
+    fault::FaultPlan plan;
+    fault::FaultSpec corrupt;
+    corrupt.kind = fault::FaultKind::PayloadCorrupt;
+    corrupt.at = sim::secToTicks(1.0);
+    corrupt.duration = sim::secToTicks(60.0);
+    corrupt.probability = 0.5;
+    plan.add(corrupt);
+
+    trace::TraceLog log;
+    OverloadRunConfig cfg;
+    cfg.controlled = true;
+    cfg.precisionGovernor = true;
+    cfg.loadMultiplier = 6.0;
+    cfg.numRequests = 80;
+    cfg.maxBatch = 32;
+    cfg.kvPoolBytes = 2ull * 1000 * 1000 * 1000;
+    cfg.faults = &plan;
+    cfg.traceLog = &log;
+    OverloadRunResult r = runOverload(cfg);
+    EXPECT_EQ(r.metrics.size(), 80u);
+    EXPECT_EQ(outputDigest(r.metrics), 8096667747465623983ULL);
+    EXPECT_EQ(r.shed, 6u);
+    EXPECT_EQ(r.fallbackSwaps, 0u);
+    EXPECT_EQ(r.deadlineMet, 74u);
+    EXPECT_EQ(r.brownout.transitions, 2u);
+    EXPECT_EQ(r.precision.reconfigurations, 10u);
+    EXPECT_EQ(r.precision.savedBytes, 217055232u);
+    EXPECT_EQ(r.unfinished, 0u);
+    EXPECT_EQ(r.engine.sigMismatches, 0u);
+    EXPECT_EQ(log.countCategory("corruption_detected"), 126u);
+    EXPECT_EQ(log.countCategory("corruption_repaired"), 126u);
+    EXPECT_EQ(log.countCategory("corruption_recompute"), 0u);
+}
+
+TEST(GoldenOutputs, TieringSsdBitrot)
+{
+    // Half of all media reads rot. A small pool and fast aging send
+    // swapped KV to the SSD as well as parked sessions; a payload that
+    // fails its check on arrival is recomputed.
+    fault::FaultPlan plan;
+    fault::FaultSpec rot;
+    rot.kind = fault::FaultKind::SsdBitrot;
+    rot.at = 0;
+    rot.duration = sim::secToTicks(3000.0);
+    rot.probability = 0.5;
+    plan.add(rot);
+
+    trace::TraceLog log;
+    TieringRunConfig cfg;
+    cfg.users = 6;
+    cfg.turns = 3;
+    cfg.kvPoolBytes = 600ull * 1000 * 1000;
+    cfg.parkAfterSec = 1.0;
+    cfg.faults = &plan;
+    cfg.traceLog = &log;
+    TieringRunResult r = runTiering(cfg);
+    EXPECT_EQ(r.metrics.size(), 18u);
+    EXPECT_EQ(outputDigest(r.metrics), 8755410392262322037ULL);
+    EXPECT_EQ(r.parks, 18u);
+    EXPECT_EQ(r.streamResumes, 5u);
+    EXPECT_EQ(r.recomputeResumes, 7u);
+    EXPECT_EQ(r.tierDemotions, 13u);
+    EXPECT_EQ(r.prefetch.bytesStreamed, 2783182848u);
+    EXPECT_EQ(r.prefetch.bytesWasted, 0u);
+    EXPECT_EQ(r.ssdBytesRead, 7108165632u);
+    EXPECT_EQ(r.ssdBytesWritten, 9917497344u);
+    EXPECT_EQ(r.unfinished, 0u);
+    std::map<std::string, std::size_t> rotByPath;
+    for (const trace::Event &e : log.ofCategory("corruption_recompute"))
+        ++rotByPath[e.fields.find("path")->asString()];
+    EXPECT_EQ(rotByPath.size(), 2u);
+    EXPECT_EQ(rotByPath["ssd_resume"], 7u);
+    EXPECT_EQ(rotByPath["swap_in"], 5u);
 }
 
 TEST(GoldenOutputs, ClusterPrefix)

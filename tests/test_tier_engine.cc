@@ -2,18 +2,21 @@
  * @file
  * End-to-end tests for the serving engine's SessionTier integration:
  * cold sessions park their KV on the SSD at finish, returning turns
- * resume by streaming it back (or recompute when the drive is slow or
- * dead), and swapped-out KV that goes cold in DRAM demotes onto the
- * media — the tier the ForceDramOffload brownout rung drains into.
+ * resume by streaming it back (or recompute when the drive is slow,
+ * dead or the parked copy rotted), and swapped-out KV that goes cold
+ * in DRAM demotes onto the media — the tier the ForceDramOffload
+ * brownout rung drains into.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "exp/testbed.hh"
 #include "serve/vllm_engine.hh"
 #include "tier/park_agent.hh"
+#include "trace/trace.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -197,4 +200,40 @@ TEST(TierEngine, SwappedColdKvDemotesToSsdAndStillFinishes)
     EXPECT_EQ(agent.manager().itemCount(), 0u);
     for (const auto &m : engine.finished())
         EXPECT_EQ(m.tokensGenerated, 300u);
+}
+
+TEST(TierEngine, RottedParkedSessionResumesViaRecompute)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    auto &backend = tb.makeDramBackend(0);
+    tier::ParkAgent agent(tb.server(), 0);
+    VllmEngine engine(tb.server(), 0, model::codellama34b(),
+                      std::make_unique<FcfsPolicy>(), backend);
+    engine.attachSessionTier(&agent);
+    trace::TraceLog log;
+    engine.setTraceLog(&log);
+
+    engine.submit(coldFirstTurn(1, 7));
+    tb.sim().runUntil(secToTicks(10.0));
+    ASSERT_EQ(agent.parkedCount(), 1u);
+
+    // The parked copy rots on the media: the streamed KV fails its
+    // signature check on arrival and the turn re-prefills instead.
+    tb.server().topology().setSsdBitrot(1.0);
+    engine.submit(returningTurn(2, 7, secToTicks(10.0)));
+    tb.sim().runUntil(secToTicks(30.0));
+    ASSERT_EQ(engine.finished().size(), 2u);
+    EXPECT_EQ(engine.finished()[1].tokensGenerated, 10u);
+    EXPECT_EQ(engine.streamResumeCount(), 0u);
+    EXPECT_GE(engine.recomputeResumeCount(), 1u);
+    EXPECT_EQ(engine.integrityStats().detected, 1u);
+    EXPECT_EQ(engine.integrityStats().recomputeFallbacks, 1u);
+    EXPECT_EQ(engine.integrityStats().repairedRetransmit, 0u);
+    std::vector<trace::Event> ev = log.ofCategory("corruption_recompute");
+    ASSERT_EQ(ev.size(), 1u);
+    const json::Value *path = ev[0].fields.find("path");
+    ASSERT_NE(path, nullptr);
+    EXPECT_EQ(path->asString(), "ssd_resume");
+    EXPECT_EQ(ev[0].fields.find("request")->asInt(), 2);
+    EXPECT_EQ(agent.parkedCount(), 0u);
 }

@@ -2,15 +2,20 @@
  * @file
  * Tests for the continuous-batching engine: request lifecycle,
  * metrics, memory hygiene, FCFS-vs-CFS behaviour, preemption, LoRA
- * integration and the producer donate/reclaim loop.
+ * integration, the producer donate/reclaim loop and the read-path
+ * integrity checks.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "exp/testbed.hh"
 #include "serve/vllm_engine.hh"
+#include "tier/park_agent.hh"
+#include "trace/trace.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -431,4 +436,119 @@ TEST(VllmEngine, WakesFromIdleOnLateArrival)
     tb.sim().runUntil(secToTicks(600.0));
     ASSERT_EQ(engine.finished().size(), 2u);
     EXPECT_NEAR(engine.finished()[1].ttftSec(), 0.1, 0.2);
+}
+
+//
+// Read-path integrity: every KV payload entering HBM is checked on
+// arrival. A payload corrupted on a link is re-read from its intact
+// source; KV that rotted at rest on the SSD is dropped and recomputed.
+//
+
+namespace {
+
+/** Count @p category events, checking each names @p path and a
+ *  request. */
+std::size_t
+eventsOnPath(const trace::TraceLog &log, const std::string &category,
+             const std::string &path)
+{
+    std::size_t n = 0;
+    for (const trace::Event &e : log.ofCategory(category)) {
+        const json::Value *p = e.fields.find("path");
+        EXPECT_TRUE(p && p->asString() == path) << category;
+        EXPECT_NE(e.fields.find("request"), nullptr) << category;
+        ++n;
+    }
+    return n;
+}
+
+} // anonymous namespace
+
+TEST(VllmEngineIntegrity, CorruptSwapInIsReReadFromTheBackend)
+{
+    // Growth past the 1 GiB pool forces DRAM swaps; with every link
+    // payload corrupted each swap-in detects and reads the tail again.
+    auto run = [](double corrupt, trace::TraceLog &log) {
+        exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+        auto &backend = tb.makeDramBackend(0);
+        VllmEngineConfig cfg;
+        cfg.kvPoolBytesOverride = std::uint64_t(1) << 30;
+        VllmEngine engine(tb.server(), 0, model::codellama34b(),
+                          std::make_unique<CfsPolicy>(), backend, cfg);
+        engine.setTraceLog(&log);
+        tb.server().topology().setPayloadCorruption(corrupt);
+        for (int i = 0; i < 8; ++i)
+            engine.submit(makeRequest(i, 0, 800, 300));
+        tb.sim().runUntil(secToTicks(4000.0));
+        EXPECT_EQ(engine.finished().size(), 8u);
+        for (const auto &m : engine.finished())
+            EXPECT_EQ(m.tokensGenerated, 300u);
+        EXPECT_GT(engine.swapInCount(), 0u);
+        EXPECT_EQ(engine.swapInCount(), engine.swapOutCount());
+        return std::make_tuple(engine.integrityStats(),
+                               engine.swapInCount(),
+                               engine.offloadReadBytes(),
+                               engine.offloadWriteBytes());
+    };
+
+    trace::TraceLog cleanLog;
+    auto [clean, cleanSwapIns, cleanRead, cleanWrite] =
+        run(0.0, cleanLog);
+    EXPECT_EQ(clean.detected, 0u);
+    EXPECT_EQ(cleanRead, cleanWrite);
+    EXPECT_EQ(cleanLog.countCategory("corruption_detected"), 0u);
+
+    trace::TraceLog log;
+    auto [hit, swapIns, read, write] = run(1.0, log);
+    EXPECT_EQ(hit.detected, swapIns);
+    EXPECT_EQ(hit.repairedRetransmit, swapIns);
+    EXPECT_EQ(hit.recomputeFallbacks, 0u);
+    // The re-read moves every restored tail a second time.
+    EXPECT_EQ(read, 2 * write);
+    EXPECT_EQ(eventsOnPath(log, "corruption_detected", "swap_in"),
+              swapIns);
+    EXPECT_EQ(eventsOnPath(log, "corruption_repaired", "swap_in"),
+              swapIns);
+    EXPECT_EQ(log.countCategory("corruption_recompute"), 0u);
+}
+
+TEST(VllmEngineIntegrity, RottedSsdTailIsRecomputed)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    auto &backend = tb.makeDramBackend(0);
+    // Aggressive aging so swapped KV demotes to the SSD quickly.
+    tier::ParkAgentConfig ac;
+    ac.tier.parkAfterSec = 0.5;
+    ac.tier.pressureParkAfterSec = 0.1;
+    tier::ParkAgent agent(tb.server(), 0, ac);
+    VllmEngineConfig cfg;
+    cfg.kvPoolBytesOverride = std::uint64_t(1) << 30;
+    VllmEngine engine(tb.server(), 0, model::codellama34b(),
+                      std::make_unique<CfsPolicy>(), backend, cfg);
+    engine.attachSessionTier(&agent);
+    trace::TraceLog log;
+    engine.setTraceLog(&log);
+    // Every payload read back from the media has rotted.
+    tb.server().topology().setSsdBitrot(1.0);
+
+    for (int i = 0; i < 8; ++i)
+        engine.submit(makeRequest(i + 1, 0, 800, 300));
+    tb.sim().runUntil(secToTicks(4000.0));
+
+    ASSERT_EQ(engine.finished().size(), 8u);
+    for (const auto &m : engine.finished())
+        EXPECT_EQ(m.tokensGenerated, 300u);
+    EXPECT_GT(engine.tierDemotionCount(), 0u);
+    EXPECT_GT(tb.server().ssd().bytesRead(), 0u);
+    const IntegrityEngineStats &st = engine.integrityStats();
+    EXPECT_GT(st.detected, 0u);
+    EXPECT_EQ(st.recomputeFallbacks, st.detected);
+    EXPECT_EQ(st.repairedRetransmit, 0u);
+    EXPECT_GE(engine.recomputeCount(), st.recomputeFallbacks);
+    EXPECT_EQ(tb.server().ssd().bitrotCorruptions(), st.detected);
+    EXPECT_EQ(eventsOnPath(log, "corruption_recompute", "swap_in"),
+              st.detected);
+    EXPECT_EQ(log.countCategory("corruption_detected"), 0u);
+    // The dropped payloads retired their tier records too.
+    EXPECT_EQ(agent.manager().itemCount(), 0u);
 }
