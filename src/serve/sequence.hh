@@ -12,6 +12,7 @@
 #include "hw/gpu.hh"
 #include "mem/block_allocator.hh"
 #include "model/kv_precision.hh"
+#include "serve/kv_cache.hh"
 #include "serve/offload_backend.hh"
 #include "workload/request.hh"
 
@@ -66,16 +67,23 @@ struct Sequence
     bool adapterHeld = false;
 
     //
-    // Cold-session resume state (zero without a SessionTier).
+    // KV prefetch state (zero without a SessionTier or federation): a
+    // parked session's KV streams back from the storage tier, or a
+    // chain homed on another server streams over the fabric, while
+    // the sequence waits.
     //
 
-    /** A parked-session resume stream is in flight; admission waits
-     *  for it to land (or wind down cancelled). */
-    bool resumePending = false;
+    /** A prefetch is in flight; admission waits for it to land (or
+     *  to be cancelled, leaving the context to recompute). */
+    bool prefetchPending = false;
 
-    /** Context tokens the completed resume stream restored; applied
-     *  as pre-prefilled tokens at the next admission. */
-    std::uint32_t resumedTokens = 0;
+    /** Where the prefetch reads from: Local for this server's own
+     *  parked copy, RemoteServer for a federation stream. */
+    BlockOrigin prefetchOrigin = BlockOrigin::Local;
+
+    /** Context tokens the landed prefetch restored; applied as
+     *  pre-prefilled tokens at the next admission. */
+    std::uint32_t landedTokens = 0;
 
     //
     // Prefix-cache sharing state (zero when caching is off).
@@ -115,27 +123,6 @@ struct Sequence
 
     /** Registry lease id held on the home chain (0 = none). */
     std::uint64_t remotePin = 0;
-
-    //
-    // Cross-server federation state (zero when federation is off).
-    // A fetched chain streams over the inter-server fabric while the
-    // sequence waits; the validated tokens are applied as
-    // pre-prefilled context at the next admission.
-    //
-
-    /** A cross-server KV stream is in flight; admission waits for
-     *  its completion (validated or cancelled to recompute). */
-    bool fedPending = false;
-
-    /** Context tokens a validated stream delivered; applied as
-     *  pre-prefilled tokens at the next admission. */
-    std::uint32_t fedTokens = 0;
-
-    /** Open fetch ticket on the home server (0 = none). */
-    std::uint64_t fedTicket = 0;
-
-    /** Home server of the in-flight fetch on the fabric. */
-    std::uint32_t fedHomeServer = 0;
 
     workload::RequestMetrics metrics;
 

@@ -206,6 +206,49 @@ VllmEngine::attachSessionTier(SessionTier *tier)
     sessionTier = tier;
 }
 
+template <typename Fill>
+void
+VllmEngine::traceSeq(Tick when, const char *category, const Sequence *s,
+                     Fill fill)
+{
+    if (tracer) {
+        json::Value f;
+        f["request"] = static_cast<std::int64_t>(s->request.id);
+        fill(f);
+        tracer->emit(when, category, std::move(f));
+    }
+}
+
+template <typename ReRead>
+bool
+VllmEngine::verifyArrival(const Sequence *s, Arrival from,
+                          const char *path, ReRead reRead)
+{
+    Tick now = server.simulation().now();
+    auto withPath = [path](json::Value &f) { f["path"] = path; };
+    if (from == Arrival::FromSsd) {
+        // A hit means the *stored* copy rotted on media (ssd_bitrot):
+        // re-reading returns the same damaged bytes.
+        hw::Ssd *drive = server.topology().ssd();
+        if (!drive || !drive->drawBitrot())
+            return true;
+        ++integrity.detected;
+        ++integrity.recomputeFallbacks;
+        traceSeq(now, "corruption_recompute", s, withPath);
+        return false;
+    }
+    // A hit is in-flight link corruption (payload_corrupt): the source
+    // copy is intact, so one more read repairs it.
+    if (!server.topology().drawPayloadCorruption())
+        return true;
+    ++integrity.detected;
+    traceSeq(now, "corruption_detected", s, withPath);
+    reRead();
+    ++integrity.repairedRetransmit;
+    traceSeq(now, "corruption_repaired", s, withPath);
+    return true;
+}
+
 void
 VllmEngine::submit(const workload::Request &request)
 {
@@ -286,54 +329,37 @@ VllmEngine::maybeBeginResume(Sequence *s)
     // overlap whatever the GPU is already decoding.
     bool streaming = sessionTier->beginResume(
         key, now, perf.prefillTime(usable),
-        [this, s, key, usable](bool streamed) {
-            s->resumePending = false;
+        [this, s, usable](bool streamed) {
+            s->prefetchPending = false;
             if (s->state != Sequence::State::Waiting)
                 return; // shed while the stream was in flight
-            if (streamed) {
-                // Signature-verify the streamed KV on arrival. A hit
-                // means the *stored* copy rotted on media
-                // (ssd_bitrot): re-reading returns the same damaged
-                // bytes, so the stream is discarded and this turn
-                // re-prefills from the prompt.
-                hw::Ssd *drive = server.topology().ssd();
-                if (drive && drive->drawBitrot()) {
-                    ++integrity.detected;
-                    ++integrity.recomputeFallbacks;
-                    if (tracer) {
-                        json::Value f;
-                        f["request"] = static_cast<std::int64_t>(
-                            s->request.id);
-                        f["path"] = "ssd_resume";
-                        tracer->emit(server.simulation().now(),
-                                     "corruption_recompute",
-                                     std::move(f));
-                    }
-                    ++nRecomputeResumes;
-                } else {
-                    s->resumedTokens = usable;
-                    ++nStreamResumes;
-                }
+            // A stream cancelled mid-flight (device degradation or
+            // failure), or one whose parked copy rotted, leaves this
+            // turn to re-prefill from the prompt.
+            if (streamed && verifyArrival(s, Arrival::FromSsd,
+                                          "ssd_resume", [] {})) {
+                s->landedTokens = usable;
+                ++nStreamResumes;
             } else {
-                // Cancelled mid-stream (device degradation/failure):
-                // fall back to a full re-prefill.
                 ++nRecomputeResumes;
             }
             needResched = true;
             scheduleStep(server.simulation().now());
         },
         streamOverhead);
-    if (streaming)
-        s->resumePending = true;
-    else
+    if (streaming) {
+        s->prefetchPending = true;
+        s->prefetchOrigin = BlockOrigin::Local;
+    } else {
         ++nRecomputeResumes;
+    }
 }
 
 void
 VllmEngine::maybeBeginFederationFetch(Sequence *s)
 {
-    if (!fedEnabled() || !cfg.prefixCache || s->resumePending ||
-        s->fedPending || s->prefilledTokens > 0)
+    if (!fedEnabled() || !cfg.prefixCache || s->prefetchPending ||
+        s->prefilledTokens > 0)
         return;
     std::vector<core::AquaLib::PrefixCandidate> cands =
         prefixCandidates(s, 0);
@@ -367,16 +393,13 @@ VllmEngine::maybeBeginFederationFetch(Sequence *s)
         fl.chain.tokens, spec.kvPrecision);
     if (!verdict.stream) {
         ++prefixStats.fedRecomputeDecisions;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["stream_estimate"] =
-                static_cast<std::int64_t>(verdict.streamEstimate);
-            f["prefill_estimate"] =
-                static_cast<std::int64_t>(verdict.prefillEstimate);
-            tracer->emit(server.simulation().now(), "fed_recompute",
-                         std::move(f));
-        }
+        traceSeq(server.simulation().now(), "fed_recompute", s,
+                 [&](json::Value &f) {
+                     f["stream_estimate"] = static_cast<std::int64_t>(
+                         verdict.streamEstimate);
+                     f["prefill_estimate"] = static_cast<std::int64_t>(
+                         verdict.prefillEstimate);
+                 });
         return;
     }
     ++prefixStats.fedStreamDecisions;
@@ -389,34 +412,28 @@ VllmEngine::maybeBeginFederationFetch(Sequence *s)
         return;
     }
     Tick now = server.simulation().now();
-    s->fedPending = true;
-    s->fedTicket = grant.ticket;
-    s->fedHomeServer = grant.homeServer;
+    s->prefetchPending = true;
+    s->prefetchOrigin = BlockOrigin::RemoteServer;
     std::uint32_t tokens = static_cast<std::uint32_t>(grant.tokens);
     std::uint64_t bytes = grant.bytes;
-    if (tracer) {
-        json::Value f;
-        f["request"] = static_cast<std::int64_t>(s->request.id);
-        f["home_server"] =
-            static_cast<std::int64_t>(grant.homeServer);
+    traceSeq(now, "fed_stream_begin", s, [&](json::Value &f) {
+        f["home_server"] = static_cast<std::int64_t>(grant.homeServer);
         f["tokens"] = static_cast<std::int64_t>(tokens);
         f["bytes"] = static_cast<std::int64_t>(bytes);
-        tracer->emit(now, "fed_stream_begin", std::move(f));
-    }
+    });
     fedFabric->streamKv(
         grant.homeServer, grant.homeGpu, fedServer, myGpu, bytes,
-        [this, s, tokens, bytes] {
-            s->fedPending = false;
+        [this, s, tokens, bytes, home = grant.homeServer,
+         ticket = grant.ticket] {
+            s->prefetchPending = false;
             // Close the ticket whatever happens next: it frees the
             // home's admission slot and reports payload validity (the
             // chain may have been evicted or its home lost while the
             // stream was on the wire).
-            bool valid = fedLib && fedLib->federationFetchDone(
-                                       s->fedHomeServer, s->fedTicket);
-            s->fedTicket = 0;
+            bool valid = fedLib && fedLib->federationFetchDone(home, ticket);
             if (s->state == Sequence::State::Waiting) {
                 if (valid) {
-                    s->fedTokens = tokens;
+                    s->landedTokens = tokens;
                     ++prefixStats.fedStreamsCompleted;
                     prefixStats.fedStreamBytes += bytes;
                 } else {
@@ -425,14 +442,8 @@ VllmEngine::maybeBeginFederationFetch(Sequence *s)
                     ++prefixStats.fedStreamsInvalidated;
                 }
             }
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["valid"] = valid;
-                tracer->emit(server.simulation().now(),
-                             "fed_stream_end", std::move(f));
-            }
+            traceSeq(server.simulation().now(), "fed_stream_end", s,
+                     [valid](json::Value &f) { f["valid"] = valid; });
             needResched = true;
             scheduleStep(server.simulation().now());
         },
@@ -715,33 +726,14 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
         prefixStats.remoteHitBlocks += rl.blocks;
         ++prefixStats.borrowAdmissions;
         ++prefixStats.registryHits;
-        // Integrity draw on the admission probe read. A link hit is
-        // always repairable here: the pinned home copy is intact, so
-        // one retransmission over NVLink clears it.
-        if (server.topology().drawPayloadCorruption()) {
-            ++integrity.detected;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "prefix_borrow";
-                tracer->emit(now, "corruption_detected",
-                             std::move(f));
-            }
+        // Integrity check on the admission probe read. The pinned
+        // home copy is intact, so a link hit is one more NVLink read.
+        verifyArrival(s, Arrival::OverLink, "prefix_borrow", [&] {
             hw::TransferTiming redo = clusterLib->readPeerPrefix(
                 pinr.home, kv->kvBytes(rl.tokens), rl.blocks, now);
             if (redo.complete > transfersDone)
                 transfersDone = redo.complete;
-            ++integrity.repairedRetransmit;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "prefix_borrow";
-                tracer->emit(now, "corruption_repaired",
-                             std::move(f));
-            }
-        }
+        });
         return;
     }
 
@@ -764,28 +756,13 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
         kv->kvBytes(std::uint64_t(missing) * blockTokens);
     hw::TransferTiming t =
         clusterLib->readPeerPrefix(pinr.home, bytes, missing, now);
-    // Verify the streamed copy's signatures before admitting it. A
-    // hit is in-flight link corruption (the pinned home copy is still
-    // good), so one retransmission repairs it; the lease simply holds
-    // a little longer.
-    if (server.topology().drawPayloadCorruption()) {
-        ++integrity.detected;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["path"] = "prefix_copy";
-            tracer->emit(now, "corruption_detected", std::move(f));
-        }
+    // Verify the streamed copy's signatures before admitting it; the
+    // pinned home copy is still good, so a hit streams it again and
+    // the lease simply holds a little longer.
+    verifyArrival(s, Arrival::OverLink, "prefix_copy", [&] {
         t = clusterLib->readPeerPrefix(pinr.home, bytes, missing,
                                        t.complete);
-        ++integrity.repairedRetransmit;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["path"] = "prefix_copy";
-            tracer->emit(now, "corruption_repaired", std::move(f));
-        }
-    }
+    });
     if (t.complete > transfersDone)
         transfersDone = t.complete;
     for (std::size_t i = 0; i < fresh->size(); ++i) {
@@ -891,18 +868,18 @@ VllmEngine::onCacheBlockEvicted(aqua::mem::BlockId id)
 
 void
 VllmEngine::countPrefixHit(const Sequence *s,
-                           const KvCache::PrefixAcquire &acq)
+                           const std::vector<aqua::mem::BlockId> &blocks,
+                           std::uint64_t tokens)
 {
     std::uint64_t local = 0;
     std::uint64_t remote = 0;
     std::uint64_t dram = 0;
     std::uint64_t remoteServer = 0;
     std::uint64_t covered = 0;
-    for (std::size_t i = 0;
-         i < acq.blocks.size() && covered < acq.tokens; ++i) {
-        std::uint64_t tk = std::min<std::uint64_t>(
-            blockTokens, acq.tokens - covered);
-        switch (kv->blockOrigin(acq.blocks[i])) {
+    for (std::size_t i = 0; i < blocks.size() && covered < tokens; ++i) {
+        std::uint64_t tk =
+            std::min<std::uint64_t>(blockTokens, tokens - covered);
+        switch (kv->blockOrigin(blocks[i])) {
           case BlockOrigin::Local:
             local += tk;
             break;
@@ -924,18 +901,15 @@ VllmEngine::countPrefixHit(const Sequence *s,
     prefixStats.hitTokensRemote += remote;
     prefixStats.hitTokensDram += dram;
     prefixStats.hitTokensRemoteServer += remoteServer;
-    if (tracer) {
-        json::Value f;
-        f["request"] = static_cast<std::int64_t>(s->request.id);
-        f["tokens"] = static_cast<std::int64_t>(acq.tokens);
-        f["local"] = static_cast<std::int64_t>(local);
-        f["remote_peer"] = static_cast<std::int64_t>(remote);
-        f["dram"] = static_cast<std::int64_t>(dram);
-        f["remote_server"] =
-            static_cast<std::int64_t>(remoteServer);
-        tracer->emit(server.simulation().now(), "prefix_hit",
-                     std::move(f));
-    }
+    traceSeq(server.simulation().now(), "prefix_hit", s,
+             [&](json::Value &f) {
+                 f["tokens"] = static_cast<std::int64_t>(tokens);
+                 f["local"] = static_cast<std::int64_t>(local);
+                 f["remote_peer"] = static_cast<std::int64_t>(remote);
+                 f["dram"] = static_cast<std::int64_t>(dram);
+                 f["remote_server"] =
+                     static_cast<std::int64_t>(remoteServer);
+             });
 }
 
 std::size_t
@@ -972,6 +946,23 @@ VllmEngine::releaseSwapGroup(Sequence *s)
 }
 
 void
+VllmEngine::dropKvForRecompute(Sequence *s, std::vector<Sequence *> &from)
+{
+    releaseRemoteLead(s);
+    dropChainsOwnedBy(s);
+    kv->freeBlocks(s->blocks);
+    s->blocks.clear();
+    releaseSwapGroup(s);
+    s->prefilled = false;
+    s->prefilledTokens = 0;
+    s->state = Sequence::State::Waiting;
+    removeFrom(from, s);
+    waiting.push_back(s);
+    ++nRecomputes;
+    needResched = true;
+}
+
+void
 VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
 {
     if (cfg.preemption == PreemptionMode::Recompute ||
@@ -987,17 +978,7 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
         // context recomputed (or re-fetched) on readmission.
         if (s->prefilled)
             publishSeq(s);
-        releaseRemoteLead(s);
-        dropChainsOwnedBy(s);
-        kv->freeBlocks(s->blocks);
-        s->blocks.clear();
-        s->prefilled = false;
-        s->prefilledTokens = 0;
-        s->state = Sequence::State::Waiting;
-        removeFrom(running, s);
-        waiting.push_back(s);
-        ++nRecomputes;
-        needResched = true;
+        dropKvForRecompute(s, running);
         return;
     }
     // The circuit breaker diverts swaps to the fallback (host DRAM)
@@ -1176,9 +1157,9 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
         // was open).
         OffloadBackend &holder =
             s->swapBackend ? *s->swapBackend : backend;
+        std::size_t tailBlocks = need - s->swapSharedBlocks;
         hw::TransferTiming t =
-            holder.read(s->swapHandle, s->swapHandle.bytes,
-                        need - s->swapSharedBlocks);
+            holder.read(s->swapHandle, s->swapHandle.bytes, tailBlocks);
         Tick restored = t.complete;
         // A demoted tail streamed fewer bytes but must be dequantized
         // back to the serving precision before decode can touch it.
@@ -1193,77 +1174,17 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
             transfersDone = restored;
         nReadBytes += s->swapHandle.bytes;
         // Signature-verify the restored tail before decode touches
-        // it. Which fault applies depends on where the bytes lived: a
-        // DRAM/peer payload corrupted in flight (payload_corrupt)
-        // re-reads cleanly from the intact backend copy, while a tail
-        // demoted to the SSD can have rotted at rest (ssd_bitrot) —
-        // the stored copy itself is damaged, so re-reading returns
-        // the same bad bytes and the sequence must drop its KV and
-        // recompute.
-        bool onSsd = holder.name() == "ssd";
-        hw::Ssd *drive = server.topology().ssd();
-        if (onSsd && drive && drive->drawBitrot()) {
-            ++integrity.detected;
-            ++integrity.recomputeFallbacks;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "swap_in";
-                tracer->emit(server.simulation().now(),
-                             "corruption_recompute", std::move(f));
-            }
-            if (sessionTier)
-                sessionTier->forgetOffloaded(
-                    s->request.id,
-                    &holder == &sessionTier->demotionStore(),
-                    server.simulation().now());
-            holder.free(s->swapHandle);
-            s->swapHandle = OffloadBackend::Handle{};
-            s->swapBackend = nullptr;
-            s->swapPrecision = spec.kvPrecision;
-            if (!resident.empty())
-                kv->freeBlocks(resident);
-            kv->freeBlocks(*blocks);
-            releaseSwapGroup(s);
-            s->prefilled = false;
-            s->prefilledTokens = 0;
-            s->state = Sequence::State::Waiting;
-            removeFrom(swapped, s);
-            waiting.push_back(s);
-            ++nRecomputes;
-            needResched = true;
-            // The abort consumed backend work (the read happened);
-            // report progress so the scheduler's transfer window
-            // stays honest.
-            return true;
-        }
-        if (!onSsd && server.topology().drawPayloadCorruption()) {
-            ++integrity.detected;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "swap_in";
-                tracer->emit(server.simulation().now(),
-                             "corruption_detected", std::move(f));
-            }
-            hw::TransferTiming rt =
-                holder.read(s->swapHandle, s->swapHandle.bytes,
-                            need - s->swapSharedBlocks);
+        // it: a DRAM/peer payload re-reads from the intact backend
+        // copy, while a tail demoted to the SSD may have rotted there.
+        Arrival from = holder.name() == "ssd" ? Arrival::FromSsd
+                                               : Arrival::OverLink;
+        bool usable = verifyArrival(s, from, "swap_in", [&] {
+            hw::TransferTiming rt = holder.read(
+                s->swapHandle, s->swapHandle.bytes, tailBlocks);
             if (rt.complete > transfersDone)
                 transfersDone = rt.complete;
             nReadBytes += s->swapHandle.bytes;
-            ++integrity.repairedRetransmit;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "swap_in";
-                tracer->emit(server.simulation().now(),
-                             "corruption_repaired", std::move(f));
-            }
-        }
+        });
         if (sessionTier)
             sessionTier->forgetOffloaded(
                 s->request.id,
@@ -1273,6 +1194,16 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
         s->swapHandle = OffloadBackend::Handle{};
         s->swapBackend = nullptr;
         s->swapPrecision = spec.kvPrecision;
+        if (!usable) {
+            if (!resident.empty())
+                kv->freeBlocks(resident);
+            s->blocks = std::move(*blocks);
+            dropKvForRecompute(s, swapped);
+            // The abort consumed backend work (the read happened);
+            // report progress so the scheduler's transfer window
+            // stays honest.
+            return true;
+        }
     }
 
     s->blocks = std::move(resident);
@@ -1311,33 +1242,21 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
 bool
 VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
 {
-    // A parked-session resume stream is still landing: hold the
-    // sequence in waiting rather than gate the whole iteration's
-    // compute on the media. The stream's completion callback
-    // reschedules.
-    if (s->resumePending)
+    // A prefetch (parked-session resume or federation stream) is
+    // still landing: hold the sequence in waiting rather than gate the
+    // whole iteration's compute on the media or the fabric. The
+    // stream's completion callback reschedules.
+    if (s->prefetchPending)
         return false;
-    // A cross-server federation stream is still on the fabric: hold
-    // the sequence in waiting; its completion callback reschedules.
-    if (s->fedPending)
-        return false;
-    // Completed resume stream: the restored context counts as already
-    // prefilled (its KV arrives in the blocks allocated below), so
-    // only the new turn's tail is computed.
-    if (s->resumedTokens > 0 && s->prefilledTokens == 0) {
-        s->prefilledTokens = s->resumedTokens;
-        s->cachedTokens = s->resumedTokens;
-        s->resumedTokens = 0;
-    }
-    // Completed (and validated) federation stream: the fetched chain
-    // counts as already prefilled; its blocks are tagged below so hit
-    // accounting attributes the tokens to the remote server.
-    std::uint32_t fedApplied = 0;
-    if (s->fedTokens > 0 && s->prefilledTokens == 0) {
-        fedApplied = s->fedTokens;
-        s->prefilledTokens = s->fedTokens;
-        s->cachedTokens = s->fedTokens;
-        s->fedTokens = 0;
+    // A landed prefetch counts as already prefilled (its KV arrives in
+    // the blocks allocated below), so only the rest of the context is
+    // computed.
+    std::uint32_t landed = 0;
+    if (s->landedTokens > 0 && s->prefilledTokens == 0) {
+        landed = s->landedTokens;
+        s->prefilledTokens = landed;
+        s->cachedTokens = landed;
+        s->landedTokens = 0;
     }
     // Adapter residency comes first: a missing adapter stalls the
     // iteration for its load (vLLM loads adapters synchronously).
@@ -1406,35 +1325,24 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
         s->prefilledTokens = static_cast<std::uint32_t>(acq.tokens);
         s->cachedTokens = static_cast<std::uint32_t>(acq.tokens);
         prefixStats.cachedTokens += acq.tokens;
-        countPrefixHit(s, acq);
+        countPrefixHit(s, acq.blocks, acq.tokens);
     }
     s->blocks = std::move(acq.blocks);
     s->blocks.insert(s->blocks.end(), blocks->begin(), blocks->end());
-    if (fedApplied > 0) {
-        // The fetched chain's KV landed in the leading blocks; tag
-        // them so hit accounting (and any later local reuse after
-        // publishSeq) knows the content crossed the fabric.
+    if (landed > 0 && s->prefetchOrigin == BlockOrigin::RemoteServer) {
+        // A fetched chain's KV landed in the leading blocks; tag them
+        // so hit accounting (and any later local reuse after
+        // publishSeq) knows the content crossed the fabric. The
+        // session tier's own parked copy is not a prefix hit.
         std::uint64_t covered = 0;
         for (aqua::mem::BlockId id : s->blocks) {
-            if (covered >= fedApplied)
+            if (covered >= landed)
                 break;
             kv->setBlockOrigin(id, BlockOrigin::RemoteServer);
             covered += blockTokens;
         }
-        prefixStats.cachedTokens += fedApplied;
-        prefixStats.hitTokensRemoteServer += fedApplied;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["tokens"] = static_cast<std::int64_t>(fedApplied);
-            f["local"] = 0;
-            f["remote_peer"] = 0;
-            f["dram"] = 0;
-            f["remote_server"] =
-                static_cast<std::int64_t>(fedApplied);
-            tracer->emit(server.simulation().now(), "prefix_hit",
-                         std::move(f));
-        }
+        prefixStats.cachedTokens += landed;
+        countPrefixHit(s, s->blocks, landed);
     }
     s->state = Sequence::State::Running;
     removeFrom(waiting, s);
@@ -1508,7 +1416,8 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
     removeFrom(waiting, s);
     // Predictor miss: shedding a resuming request cancels its
     // in-flight prefetch stream (windows already issued are wasted).
-    if (sessionTier && s->resumePending)
+    if (sessionTier && s->prefetchPending &&
+        s->prefetchOrigin == BlockOrigin::Local)
         sessionTier->cancelResume(s->request.userId);
     if (s->adapterHeld) {
         lora->release(s->request.adapter);
@@ -1523,15 +1432,12 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
     ++shedsSinceInform;
     if (admission)
         admission->recordShed(reason);
-    if (tracer) {
-        json::Value f;
-        f["request"] = static_cast<std::int64_t>(s->request.id);
+    traceSeq(when, "shed", s, [&](json::Value &f) {
         f["reason"] = std::string(overload::shedReasonName(reason));
         f["deadline_ns"] = static_cast<std::int64_t>(s->request.deadline);
         f["waited_sec"] = ticksToSec(when - s->request.arrival);
         f["best_effort"] = s->request.bestEffort;
-        tracer->emit(when, "shed", std::move(f));
-    }
+    });
     needResched = true;
     if (completionCb) {
         workload::RequestMetrics m = s->metrics;

@@ -496,6 +496,36 @@ class VllmEngine
     /** Move a waiting sequence to Running. @return success. */
     bool admitSeq(Sequence *s, aqua::sim::Tick &transfersDone);
 
+    /** Drop @p s's KV and move it from @p from back to waiting, to
+     *  re-prefill its whole context when next scheduled. */
+    void dropKvForRecompute(Sequence *s, std::vector<Sequence *> &from);
+
+    /** Where a KV payload arriving in HBM was read from. */
+    enum class Arrival
+    {
+        /** At rest on the SSD: rot damages the stored copy itself. */
+        FromSsd,
+        /** Across a link from an intact copy (DRAM, peer HBM). */
+        OverLink,
+    };
+
+    /**
+     * Signature-verify a KV payload arriving for @p s, counting and
+     * tracing what a failed check costs under trace path @p path. A
+     * hit on SSD bytes is unrepairable: returns false, and the caller
+     * recomputes. A hit on link bytes calls @p reRead to fetch the
+     * intact source again, then returns true.
+     */
+    template <typename ReRead>
+    bool verifyArrival(const Sequence *s, Arrival from,
+                       const char *path, ReRead reRead);
+
+    /** Emit a @p category trace event about @p s at @p when: its
+     *  request id plus the fields @p fill adds (no-op untraced). */
+    template <typename Fill>
+    void traceSeq(aqua::sim::Tick when, const char *category,
+                  const Sequence *s, Fill fill);
+
     /** Finish bookkeeping for a sequence at @p when. */
     void finishSeq(Sequence *s, aqua::sim::Tick when);
 
@@ -642,10 +672,11 @@ class VllmEngine
      *  home chain containing it is gone from this GPU. */
     void onCacheBlockEvicted(aqua::mem::BlockId id);
 
-    /** Tally a prefix hit's tokens by serving-block origin and emit a
-     *  "prefix_hit" trace event. */
+    /** Tally a prefix hit of @p tokens served from the leading
+     *  @p blocks by block origin and emit a "prefix_hit" trace event. */
     void countPrefixHit(const Sequence *s,
-                        const KvCache::PrefixAcquire &acq);
+                        const std::vector<aqua::mem::BlockId> &blocks,
+                        std::uint64_t tokens);
 
     hw::Server &server;
     hw::GpuId myGpu;
