@@ -41,7 +41,8 @@ struct Sequence
     /** Whether the prompt's KV has been computed. */
     bool prefilled = false;
 
-    /** Prompt tokens already prefilled (chunked prefill progress). */
+    /** Context tokens admission found already in place (a landed
+     *  prefetch or a prefix-cache hit); prefill computes the rest. */
     std::uint32_t prefilledTokens = 0;
 
     /** Tokens generated so far (the CFS vruntime, §5). */

@@ -1642,32 +1642,14 @@ VllmEngine::step()
     if (!prefillBatch.empty()) {
         // Recompute-preempted sequences re-prefill their whole
         // context (prompt + generated); for fresh ones kvTokens()
-        // is just the prompt. With chunked prefill, at most
-        // maxPrefillTokensPerIter tokens are processed and long
-        // prompts continue next iteration.
-        std::uint64_t budget =
-            cfg.maxPrefillTokensPerIter == 0
-                ? ~std::uint64_t(0)
-                : cfg.maxPrefillTokensPerIter;
-        std::vector<std::pair<Sequence *, std::uint64_t>> work;
+        // is just the prompt.
         std::uint64_t total = 0;
-        for (Sequence *s : prefillBatch) {
-            if (budget == 0)
-                break;
-            std::uint64_t remaining =
-                s->kvTokens() - s->prefilledTokens;
-            std::uint64_t chunk = std::min(remaining, budget);
-            work.emplace_back(s, chunk);
-            total += chunk;
-            budget -= chunk;
-        }
+        for (Sequence *s : prefillBatch)
+            total += s->kvTokens() - s->prefilledTokens;
         Tick t = perf.prefillTime(total);
         completion = server.gpu(myGpu).submitComputeAfter(
             transfersDone, t);
-        for (auto &[s, chunk] : work) {
-            s->prefilledTokens += chunk;
-            if (s->prefilledTokens < s->kvTokens())
-                continue; // more chunks next iteration
+        for (Sequence *s : prefillBatch) {
             s->prefilled = true;
             // Publish the freshly computed context so concurrent
             // arrivals with the same prefix share it immediately.

@@ -64,13 +64,6 @@ struct VllmEngineConfig
     std::uint32_t maxBatch = 48;
     /** Admission slack beyond the prompt, in tokens. */
     std::uint32_t slackTokens = 32;
-    /**
-     * Chunked prefill: cap on prompt tokens processed per prefill
-     * iteration (0 = unlimited). Long prompts then prefill across
-     * several iterations instead of monopolizing one, which bounds
-     * the decode stall a giant admission causes.
-     */
-    std::uint32_t maxPrefillTokensPerIter = 0;
     /** CFS slice length in generated tokens (Fig. 6 uses 5). */
     std::uint32_t cfsSliceTokens = 5;
     /** Call AQUA-LIB informStats() every this many iterations. */

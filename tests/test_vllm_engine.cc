@@ -303,56 +303,6 @@ TEST(VllmEngine, RecomputeCostsMoreComputeThanSwap)
               computeBusy(PreemptionMode::Swap) * 2);
 }
 
-TEST(VllmEngine, ChunkedPrefillBoundsDecodeStalls)
-{
-    // A giant prompt admitted next to a short interactive one: with
-    // unbounded prefill the short prompt's first token waits for
-    // the single ~12k-token prefill iteration; chunked prefill emits
-    // it after the first (shared) chunk.
-    auto shortTtft = [](std::uint32_t chunk) {
-        exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-        auto &backend = tb.makeDramBackend(0);
-        VllmEngineConfig cfg;
-        cfg.maxPrefillTokensPerIter = chunk;
-        VllmEngine engine(tb.server(), 0, model::codellama34b(),
-                          std::make_unique<CfsPolicy>(), backend,
-                          cfg);
-        engine.submit(makeRequest(0, 0, 100, 50)); // short, first
-        engine.submit(makeRequest(1, 0, 12000, 5)); // giant prompt
-        tb.sim().runUntil(secToTicks(300.0));
-        EXPECT_EQ(engine.finished().size(), 2u);
-        for (const auto &m : engine.finished()) {
-            if (m.id == 0)
-                return m.ttftSec();
-        }
-        return -1.0;
-    };
-    double unbounded = shortTtft(0);
-    double chunked = shortTtft(512);
-    ASSERT_GT(unbounded, 0.0);
-    ASSERT_GT(chunked, 0.0);
-    // Unbounded: first token after the whole ~12k-token prefill
-    // (~4 s). Chunked: after the first 512-token chunk (~0.2 s).
-    EXPECT_LT(chunked, unbounded / 5.0);
-}
-
-TEST(VllmEngine, ChunkedPrefillCompletesLongPromptExactly)
-{
-    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    auto &backend = tb.makeDramBackend(0);
-    VllmEngineConfig cfg;
-    cfg.maxPrefillTokensPerIter = 256;
-    VllmEngine engine(tb.server(), 0, model::codellama34b(),
-                      std::make_unique<FcfsPolicy>(), backend, cfg);
-    engine.submit(makeRequest(0, 0, 1000, 7));
-    tb.sim().runUntil(secToTicks(60.0));
-    ASSERT_EQ(engine.finished().size(), 1u);
-    EXPECT_EQ(engine.finished()[0].tokensGenerated, 7u);
-    // 1000 tokens at 256/iter = 4 prefill iterations before the
-    // first token; TTFT is still sub-second on our calibration.
-    EXPECT_LT(engine.finished()[0].ttftSec(), 1.0);
-}
-
 TEST(VllmEngine, IterationCallbackSeesEveryDecodedToken)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
@@ -399,26 +349,6 @@ TEST(VllmEngine, CfsWithLoraAdaptersCompletes)
         EXPECT_TRUE(engine.loraCache()->acquire(id, t));
         engine.loraCache()->release(id);
     }
-}
-
-TEST(VllmEngine, UnprefilledVictimDemotesWithoutBackendTraffic)
-{
-    // CFS deselects a sequence caught mid-prefill: it must fall back
-    // to Waiting (vLLM never swaps unprefilled KV) and recompute.
-    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    auto &backend = tb.makeDramBackend(0);
-    VllmEngineConfig cfg;
-    cfg.kvPoolBytesOverride = std::uint64_t(300) << 20;
-    cfg.maxPrefillTokensPerIter = 128; // long prefills span steps
-    cfg.slackTokens = 0;
-    VllmEngine engine(tb.server(), 0, model::codellama34b(),
-                      std::make_unique<CfsPolicy>(), backend, cfg);
-    for (int i = 0; i < 5; ++i)
-        engine.submit(makeRequest(i, 0, 700, 120));
-    tb.sim().runUntil(secToTicks(2000.0));
-    EXPECT_EQ(engine.finished().size(), 5u);
-    for (const auto &m : engine.finished())
-        EXPECT_EQ(m.tokensGenerated, 120u);
 }
 
 TEST(VllmEngine, WakesFromIdleOnLateArrival)
