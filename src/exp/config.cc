@@ -228,6 +228,11 @@ runLoraSpec(const Value &spec)
         return fail("lora: unknown producer preset");
     if (cfg.numAdapters == 0)
         return fail("lora: num_adapters must be positive");
+    // A request cannot run until its adapter is resident, so a cache
+    // smaller than one adapter would serve nothing.
+    if (cfg.cacheBytes < cfg.adapterBytes)
+        return fail("lora: cache_bytes must hold one adapter "
+                    "(at least adapter_bytes)");
 
     LoraExperimentResult r = runLoraExperiment(cfg);
     Value out = metricsToJson(r.metrics);

@@ -214,6 +214,20 @@ TEST(Config, RejectsDurationsThatAreNotPositive)
                    "duration_s");
 }
 
+TEST(Config, RejectsLoraCacheSmallerThanOneAdapter)
+{
+    // One byte under the default 320 MiB adapter.
+    expectRejected(R"({"experiment": "lora", "num_requests": 3,)"
+                   R"( "cache_bytes": 335544319})",
+                   "cache_bytes");
+    expectRejected(R"({"experiment": "lora", "num_requests": 3,)"
+                   R"( "cache_bytes": 0})",
+                   "cache_bytes");
+    expectRejected(R"({"experiment": "lora", "num_requests": 3,)"
+                   R"( "adapter_bytes": 1000, "cache_bytes": 999})",
+                   "cache_bytes");
+}
+
 TEST(Config, RejectsCountsThatAreNotNonNegativeIntegers)
 {
     expectRejected(R"({"experiment": "cfs", "num_requests": -1})",
