@@ -5,7 +5,7 @@
 #   tools/run_tests.sh               # regular RelWithDebInfo build
 #   tools/run_tests.sh --sanitize    # ASan+UBSan build in build-asan/
 #   tools/run_tests.sh --tsan        # TSan build in build-tsan/
-#   tools/run_tests.sh --bench-smoke # + the release-bench smoke runs
+#   tools/run_tests.sh --bench-smoke # + tools/bench_smoke.sh on the tree
 #   tools/run_tests.sh --chaos-smoke # + bounded-seed chaos-soak run
 #   tools/run_tests.sh -R Staging    # extra args forwarded to ctest
 #
@@ -45,22 +45,7 @@ cmake --build "$build" -j "$(nproc)"
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" "$@"
 
 if [[ "$bench_smoke" == 1 ]]; then
-    "$build/bench/seed_robustness" --smoke
-    "$build/bench/abl_prefix_cache" --smoke
-    "$build/bench/fig13_chatbot" --smoke
-    "$build/bench/abl_overload" --smoke
-    "$build/bench/abl_cluster_prefix" --smoke
-    "$build/bench/abl_tiering" --smoke
-    "$build/bench/abl_kv_quant" --smoke
-    "$build/bench/abl_federation" --smoke
-    "$build/bench/abl_offload_paths"
-    "$build/bench/fig03_interconnect"
-    "$build/bench/abl_interconnect_gen"
-    for b in fig01_motivation fig07_long_prompt fig08_lora_rct fig09_cfs \
-             fig10_elastic fig12_tensor_sizes fig15_17_appendix_cfs \
-             fig18_nvswitch appA2_long_lora abl_cfs_slice; do
-        "$build/bench/$b"
-    done
+    "$repo/tools/bench_smoke.sh" "$build"
 fi
 
 if [[ "$chaos_smoke" == 1 ]]; then
