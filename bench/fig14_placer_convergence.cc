@@ -11,6 +11,8 @@
  * ordering.
  */
 
+#include <algorithm>
+
 #include "bench/bench_util.hh"
 #include "exp/experiments.hh"
 #include "placer/placer.hh"
@@ -23,7 +25,7 @@ main()
     bench::banner("Figure 14", "AQUA-PLACER convergence time vs "
                                "cluster size (8-GPU servers)");
 
-    stats::Table table({"gpus", "split", "solve_s", "nodes",
+    stats::Table table({"gpus", "split", "solve_s", "nodes", "nodes_per_s",
                         "optimal", "objective_gb", "greedy_gb"});
     for (std::size_t gpus : {16, 32, 64, 128}) {
         for (const char *split : {"llm-heavy", "balanced"}) {
@@ -40,6 +42,8 @@ main()
                 .cell(split)
                 .cell(result.solveSeconds, 3)
                 .cell(result.nodesExplored)
+                .cell(double(result.nodesExplored) /
+                          std::max(result.solveSeconds, 1e-9), 0)
                 .cell(result.optimal ? "yes" : "limit")
                 .cell(result.objective / 1e9, 1)
                 .cell(greedy.objective / 1e9, 1);

@@ -96,6 +96,43 @@ class Simplex
         return result;
     }
 
+    /**
+     * The final basis in bounded form. A structural whose upper-bound
+     * row has a nonbasic slack sits at its upper bound; a row is
+     * tight, its logical nonbasic, unless its slack or artificial
+     * is basic. Each upper-bound row holds one basic column more
+     * than the bounded form has, so the counts must come out even.
+     */
+    void
+    exportBasis(Basis &out) const
+    {
+        const int rows = lp.numRows();
+        std::vector<char> isBasic(cols, 0);
+        for (int col : basis)
+            isBasic[col] = 1;
+        out.basic.clear();
+        out.atUpper.assign(n + rows, false);
+        for (int j = 0; j < n; ++j) {
+            if (!isBasic[j])
+                continue;
+            int ub = ubRowOf[j];
+            if (ub >= 0 && !isBasic[slackOf[ub]])
+                out.atUpper[j] = true;
+            else
+                out.basic.push_back(j);
+        }
+        for (int i = 0; i < rows; ++i) {
+            if ((slackOf[i] >= 0 && isBasic[slackOf[i]]) ||
+                (artOf[i] >= 0 && isBasic[artOf[i]]))
+                out.basic.push_back(n + i);
+            else
+                out.atUpper[n + i] =
+                    lp.constraints()[i].rel == Relation::LessEq;
+        }
+        if (static_cast<int>(out.basic.size()) != rows)
+            out.clear();
+    }
+
   private:
     void
     build()
@@ -104,9 +141,11 @@ class Simplex
         // Count columns: structural + slack/surplus per inequality +
         // one slack per finite-ub row + artificials for >=/= rows.
         std::vector<LinearProgram::Row> allRows = lp.constraints();
+        ubRowOf.assign(n, -1);
         for (int j = 0; j < n; ++j) {
             double ub = lp.upperBound(j) - lp.lowerBound(j);
             if (std::isfinite(ub)) {
+                ubRowOf[j] = static_cast<int>(allRows.size());
                 LinearProgram::Row row;
                 row.coeffs = {{j, 1.0}};
                 row.rel = Relation::LessEq;
@@ -163,6 +202,8 @@ class Simplex
 
         int slack = n;
         int art = artificialStart;
+        slackOf.assign(m, -1);
+        artOf.assign(m, -1);
         for (int i = 0; i < m; ++i) {
             for (int j = 0; j < n; ++j)
                 tab[i][j] = dense[i][j];
@@ -171,18 +212,22 @@ class Simplex
               case Relation::LessEq:
                 tab[i][slack] = 1.0;
                 basis[i] = slack;
+                slackOf[i] = slack;
                 ++slack;
                 break;
               case Relation::GreaterEq:
                 tab[i][slack] = -1.0;
+                slackOf[i] = slack;
                 ++slack;
                 tab[i][art] = 1.0;
                 basis[i] = art;
+                artOf[i] = art;
                 ++art;
                 break;
               case Relation::Equal:
                 tab[i][art] = 1.0;
                 basis[i] = art;
+                artOf[i] = art;
                 ++art;
                 break;
             }
@@ -343,6 +388,11 @@ class Simplex
     std::vector<std::vector<double>> tab;
     std::vector<double> costRow;
     std::vector<int> basis;
+    /** Per row: its slack and artificial column, or -1. */
+    std::vector<int> slackOf;
+    std::vector<int> artOf;
+    /** Per structural: the row holding its upper bound, or -1. */
+    std::vector<int> ubRowOf;
 };
 
 } // anonymous namespace
@@ -361,6 +411,286 @@ solveLp(const LinearProgram &lp)
 {
     Simplex solver(lp);
     return solver.run();
+}
+
+LpResult
+solveLp(const LinearProgram &lp, Basis &basis)
+{
+    Simplex solver(lp);
+    LpResult result = solver.run();
+    basis.clear();
+    if (result.optimal())
+        solver.exportBasis(basis);
+    return result;
+}
+
+namespace {
+
+/** Primal feasibility tolerance of the dual simplex. */
+constexpr double primalTol = 1e-9;
+/** Dual feasibility tolerance; also the Harris ratio-test slack. */
+constexpr double dualTol = 1e-9;
+/** Smallest tableau entry the dual simplex pivots on. */
+constexpr double pivotTol = 1e-9;
+
+} // anonymous namespace
+
+DualSimplex::DualSimplex(const LinearProgram &lp)
+    : n(lp.numVars()), m(lp.numRows()), cols(n + m)
+{
+    initial.assign(static_cast<std::size_t>(m) * cols, 0.0);
+    costs.assign(cols, 0.0);
+    for (int j = 0; j < n; ++j)
+        costs[j] = lp.cost(j);
+    // Structural bounds come with each solve; logical bounds are the
+    // rows' and stay.
+    lo.assign(cols, -inf);
+    hi.assign(cols, inf);
+    for (int i = 0; i < m; ++i) {
+        const LinearProgram::Row &row = lp.constraints()[i];
+        double *t = &initial[static_cast<std::size_t>(i) * cols];
+        for (const auto &[var, coeff] : row.coeffs)
+            t[var] -= coeff;
+        t[n + i] = 1.0;
+        if (row.rel != Relation::GreaterEq)
+            hi[n + i] = row.rhs;
+        if (row.rel != Relation::LessEq)
+            lo[n + i] = row.rhs;
+    }
+}
+
+LpResult
+DualSimplex::solve(const std::vector<double> &lower,
+                   const std::vector<double> &upper, Basis &basis)
+{
+    LpResult result;
+    std::copy(lower.begin(), lower.end(), lo.begin());
+    std::copy(upper.begin(), upper.end(), hi.begin());
+    if (!factor(basis) || !price()) {
+        result.status = LpStatus::IterLimit;
+        return result;
+    }
+    result.status = iterate(result.iterations);
+    if (result.status != LpStatus::Optimal)
+        return result;
+    result.x.assign(value.begin(), value.begin() + n);
+    for (int j = 0; j < n; ++j)
+        result.objective += costs[j] * result.x[j];
+    basis.basic = basicCol;
+    basis.atUpper = atUpper;
+    for (int col : basicCol)
+        basis.atUpper[col] = false;
+    return result;
+}
+
+/**
+ * Load the tableau of @p basis: start from the all-logical basis and
+ * pivot each basic structural into the row of a logical that leaves,
+ * the row with the largest entry in its column (partial pivoting).
+ */
+[[gnu::hot, gnu::aligned(64)]] bool
+DualSimplex::factor(const Basis &basis)
+{
+    if (static_cast<int>(basis.basic.size()) != m ||
+        static_cast<int>(basis.atUpper.size()) != cols)
+        return false;
+    tab = initial;
+    basicCol.resize(m);
+    rowOf.assign(cols, -1);
+    for (int i = 0; i < m; ++i) {
+        basicCol[i] = n + i;
+        rowOf[n + i] = i;
+    }
+    atUpper = basis.atUpper;
+    std::vector<char> wanted(cols, 0);
+    for (int col : basis.basic) {
+        if (col < 0 || col >= cols || wanted[col])
+            return false;
+        wanted[col] = 1;
+    }
+    for (int col : basis.basic) {
+        if (col >= n)
+            continue;
+        int row = -1;
+        double best = pivotTol;
+        for (int i = 0; i < m; ++i) {
+            double a = std::abs(tab[static_cast<std::size_t>(i) * cols +
+                                    col]);
+            if (a > best && !wanted[basicCol[i]]) {
+                best = a;
+                row = i;
+            }
+        }
+        if (row < 0)
+            return false; // singular
+        pivot(row, col);
+    }
+    return true;
+}
+
+/**
+ * Set nonbasic columns at their bounds and solve for the basic values
+ * and the reduced costs. Fails if a nonbasic column sits at an
+ * infinite bound or its reduced cost has the wrong sign (the start
+ * is not dual feasible).
+ */
+[[gnu::hot, gnu::aligned(64)]] bool
+DualSimplex::price()
+{
+    value.assign(cols, 0.0);
+    for (int j = 0; j < cols; ++j) {
+        if (rowOf[j] >= 0)
+            continue;
+        if (lo[j] == hi[j])
+            atUpper[j] = false;
+        double v = atUpper[j] ? hi[j] : lo[j];
+        if (!std::isfinite(v))
+            return false;
+        value[j] = v;
+    }
+    reduced = costs;
+    for (int i = 0; i < m; ++i) {
+        const double *t = &tab[static_cast<std::size_t>(i) * cols];
+        double cb = costs[basicCol[i]];
+        if (cb != 0.0) {
+            for (int j = 0; j < cols; ++j)
+                reduced[j] -= cb * t[j];
+        }
+    }
+    for (int j = 0; j < cols; ++j) {
+        if (rowOf[j] >= 0)
+            reduced[j] = 0.0;
+        else if (lo[j] != hi[j] &&
+                 (atUpper[j] ? reduced[j] > dualTol
+                             : reduced[j] < -dualTol))
+            return false;
+    }
+    for (int i = 0; i < m; ++i) {
+        const double *t = &tab[static_cast<std::size_t>(i) * cols];
+        double sum = 0.0;
+        for (int j = 0; j < cols; ++j) {
+            if (rowOf[j] < 0)
+                sum += t[j] * value[j];
+        }
+        value[basicCol[i]] = -sum;
+    }
+    return true;
+}
+
+/**
+ * Dual simplex iterations: the most violated basic column leaves at
+ * the bound it violates; the entering column comes from a Harris
+ * two-pass ratio test that keeps every reduced cost within dualTol
+ * of its sign and prefers the largest pivot among near ties.
+ */
+[[gnu::hot, gnu::aligned(64)]] LpStatus
+DualSimplex::iterate(std::uint64_t &iterations)
+{
+    // A warm start needs a few pivots; a run this long is cycling,
+    // and the caller re-solves cold.
+    const std::uint64_t budget =
+        1000 + 50 * static_cast<std::uint64_t>(cols);
+    for (;;) {
+        int row = -1;
+        bool below = false;
+        double worst = primalTol;
+        for (int i = 0; i < m; ++i) {
+            int c = basicCol[i];
+            double v = value[c];
+            if (lo[c] - v > worst) {
+                worst = lo[c] - v;
+                row = i;
+                below = true;
+            } else if (v - hi[c] > worst) {
+                worst = v - hi[c];
+                row = i;
+                below = false;
+            }
+        }
+        if (row < 0)
+            return LpStatus::Optimal;
+        if (iterations >= budget)
+            return LpStatus::IterLimit;
+
+        // x_B[row] moves by -alpha_j per unit step of nonbasic j. A
+        // column below its lower bound must rise, so it takes a
+        // column that may increase (at lower) with alpha < 0 or one
+        // that may decrease (at upper) with alpha > 0; above its
+        // upper bound, the signs swap.
+        const double *t = &tab[static_cast<std::size_t>(row) * cols];
+        double maxStep = inf;
+        for (int j = 0; j < cols; ++j) {
+            if (rowOf[j] >= 0 || lo[j] == hi[j])
+                continue;
+            double alpha = below == atUpper[j] ? t[j] : -t[j];
+            if (alpha <= pivotTol)
+                continue;
+            double d = atUpper[j] ? -reduced[j] : reduced[j];
+            maxStep = std::min(maxStep,
+                               (std::max(d, 0.0) + dualTol) / alpha);
+        }
+        if (maxStep == inf)
+            return LpStatus::Infeasible;
+        int enter = -1;
+        double bestAlpha = 0.0;
+        for (int j = 0; j < cols; ++j) {
+            if (rowOf[j] >= 0 || lo[j] == hi[j])
+                continue;
+            double alpha = below == atUpper[j] ? t[j] : -t[j];
+            if (alpha <= pivotTol)
+                continue;
+            double d = atUpper[j] ? -reduced[j] : reduced[j];
+            if (std::max(d, 0.0) / alpha <= maxStep &&
+                alpha > bestAlpha) {
+                bestAlpha = alpha;
+                enter = j;
+            }
+        }
+        if (enter < 0)
+            return LpStatus::IterLimit; // NaN in the tableau
+
+        int leave = basicCol[row];
+        double target = below ? lo[leave] : hi[leave];
+        double step = (value[leave] - target) / t[enter];
+        for (int i = 0; i < m; ++i) {
+            double a = tab[static_cast<std::size_t>(i) * cols + enter];
+            if (a != 0.0)
+                value[basicCol[i]] -= a * step;
+        }
+        value[enter] += step;
+        value[leave] = target;
+        atUpper[leave] = !below;
+        pivot(row, enter);
+        double d = reduced[enter];
+        if (d != 0.0) {
+            for (int j = 0; j < cols; ++j)
+                reduced[j] -= d * t[j];
+        }
+        reduced[enter] = 0.0;
+        ++iterations;
+    }
+}
+
+[[gnu::hot, gnu::aligned(64)]] void
+DualSimplex::pivot(int row, int col)
+{
+    double *r = &tab[static_cast<std::size_t>(row) * cols];
+    double p = r[col];
+    for (int j = 0; j < cols; ++j)
+        r[j] /= p;
+    for (int i = 0; i < m; ++i) {
+        if (i == row)
+            continue;
+        double *t = &tab[static_cast<std::size_t>(i) * cols];
+        double f = t[col];
+        if (f == 0.0)
+            continue;
+        for (int j = 0; j < cols; ++j)
+            t[j] -= f * r[j];
+    }
+    rowOf[basicCol[row]] = -1;
+    basicCol[row] = col;
+    rowOf[col] = row;
 }
 
 } // namespace aqua::opt

@@ -1,12 +1,16 @@
 /**
  * @file
- * Dense linear-programming solver (two-phase primal simplex).
+ * Dense linear-programming solvers: a two-phase primal simplex for
+ * cold solves and a bounded-variable dual simplex for warm re-solves.
  *
  * The substrate beneath AQUA-PLACER: the paper encodes Algorithm 1 in
  * Gurobi; we solve the same MILP with our own simplex + branch and
  * bound (opt/milp.hh). Problems are small (placement LPs have a few
- * hundred variables), so a dense tableau with Bland's anti-cycling
- * rule is simple, exact enough, and fast.
+ * hundred variables), so dense tableaus are simple, exact enough, and
+ * fast. solveLp() starts from nothing, with Bland's anti-cycling rule
+ * and every finite upper bound as an extra row. DualSimplex re-solves
+ * an LP whose bounds were tightened, starting from an optimal basis
+ * of the looser LP, and keeps upper bounds as bounds.
  */
 
 #ifndef AQUA_OPT_LP_HH
@@ -93,8 +97,91 @@ struct LpResult
     bool optimal() const { return status == LpStatus::Optimal; }
 };
 
+/**
+ * A simplex basis of the bounded form of a LinearProgram. Its columns
+ * are the LP's variables followed by one logical per row, the row's
+ * activity a_i.x: a LessEq row's logical lies in (-inf, rhs], a
+ * GreaterEq row's in [rhs, inf) and an Equal row's is fixed at rhs.
+ * A nonbasic column sits at its lower bound unless flagged at upper.
+ */
+struct Basis
+{
+    /** The basic column of each row. */
+    std::vector<int> basic;
+    /** Per column: a nonbasic column sits at its upper bound. */
+    std::vector<bool> atUpper;
+
+    /** No basis is known (every LP has a column). */
+    bool empty() const { return atUpper.empty(); }
+    void clear()
+    {
+        basic.clear();
+        atUpper.clear();
+    }
+};
+
 /** Solve with two-phase primal simplex. */
 LpResult solveLp(const LinearProgram &lp);
+
+/**
+ * solveLp() that also returns the optimal basis in bounded form, the
+ * start of DualSimplex re-solves. The result is the same as
+ * solveLp(lp)'s. @p basis comes back empty if the LP is not optimal
+ * or the final basis has no bounded-form twin (a degenerate row kept
+ * both its surplus and its artificial basic).
+ */
+LpResult solveLp(const LinearProgram &lp, Basis &basis);
+
+/**
+ * Bounded-variable dual simplex on a dense tableau. It re-solves one
+ * LP's rows and costs under tightened variable bounds, starting from
+ * a basis that is dual feasible for them, as an optimal basis of the
+ * same LP under looser bounds is: tightening a bound never changes a
+ * reduced cost, so a few dual pivots restore primal feasibility.
+ */
+class DualSimplex
+{
+  public:
+    explicit DualSimplex(const LinearProgram &lp);
+
+    /**
+     * Re-solve with structural bounds @p lower and @p upper from
+     * @p basis, which becomes the optimal basis on LpStatus::Optimal.
+     * The LP cannot come back Unbounded: a dual feasible basis bounds
+     * it. IterLimit means the start was unusable (wrong size,
+     * singular, a nonbasic column at an infinite bound, or not dual
+     * feasible) or the pivot budget ran out; solve the LP with
+     * solveLp() instead.
+     */
+    LpResult solve(const std::vector<double> &lower,
+                   const std::vector<double> &upper, Basis &basis);
+
+  private:
+    bool factor(const Basis &basis);
+    bool price();
+    LpStatus iterate(std::uint64_t &iterations);
+    void pivot(int row, int col);
+
+    int n = 0;
+    int m = 0;
+    int cols = 0;
+    /** [-A | I], row-major: the tableau of the all-logical basis. */
+    std::vector<double> initial;
+    std::vector<double> costs;
+    /** Column bounds: the structurals' are set by each solve. */
+    std::vector<double> lo;
+    std::vector<double> hi;
+
+    // Per-solve state, kept to reuse its storage.
+    std::vector<double> tab;
+    std::vector<double> reduced;
+    /** Value of every column; basic values are kept current. */
+    std::vector<double> value;
+    std::vector<int> basicCol;
+    /** Row of each basic column, -1 for a nonbasic one. */
+    std::vector<int> rowOf;
+    std::vector<bool> atUpper;
+};
 
 } // namespace aqua::opt
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <queue>
-#include <tuple>
 
 #include "sim/logging.hh"
 
@@ -47,6 +46,19 @@ MilpSolver::solve()
         cmp);
     open.push(Node{});
 
+    // Every branch's bound change; a node's bounds are the base LP's
+    // with its chain of changes applied root first.
+    std::vector<BoundChange> changes;
+    std::vector<int> chain;
+    const int n = base.numVars();
+    std::vector<double> baseLower(n), baseUpper(n);
+    for (int j = 0; j < n; ++j) {
+        baseLower[j] = base.lowerBound(j);
+        baseUpper[j] = base.upperBound(j);
+    }
+    std::vector<double> lower, upper;
+    DualSimplex warm(base);
+
     bool hitLimit = false;
     auto deadline = std::chrono::steady_clock::now();
     if (opt.maxSeconds > 0.0) {
@@ -69,23 +81,40 @@ MilpSolver::solve()
             continue; // pruned by a newer incumbent / seed bound
         ++result.nodesExplored;
 
-        // Apply this node's branch bounds on a copy of the base LP.
-        LinearProgram lp = base;
+        // Apply this node's branch bounds.
+        chain.clear();
+        for (int c = node.change; c >= 0; c = changes[c].parent)
+            chain.push_back(c);
+        lower = baseLower;
+        upper = baseUpper;
         bool consistent = true;
-        for (const auto &[var, lo, hi] : node.bounds) {
-            double newLo = std::max(lo, lp.lowerBound(var));
-            double newHi = std::min(hi, lp.upperBound(var));
-            if (newLo > newHi) {
+        for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+            const BoundChange &bc = changes[*it];
+            lower[bc.var] = std::max(bc.lo, lower[bc.var]);
+            upper[bc.var] = std::min(bc.hi, upper[bc.var]);
+            if (lower[bc.var] > upper[bc.var]) {
                 consistent = false;
                 break;
             }
-            lp.setBounds(var, newLo, newHi);
         }
         if (!consistent)
             continue;
 
-        LpResult relaxed = solveLp(lp);
-        result.lpIterations += relaxed.iterations;
+        auto basis = std::make_shared<Basis>();
+        LpResult relaxed;
+        if (node.start) {
+            *basis = *node.start;
+            relaxed = warm.solve(lower, upper, *basis);
+            result.lpIterations += relaxed.iterations;
+        }
+        if (!node.start || relaxed.status == LpStatus::IterLimit) {
+            ++result.coldSolves;
+            LinearProgram lp = base;
+            for (int j = 0; j < n; ++j)
+                lp.setBounds(j, lower[j], upper[j]);
+            relaxed = solveLp(lp, *basis);
+            result.lpIterations += relaxed.iterations;
+        }
         if (relaxed.status == LpStatus::Infeasible)
             continue;
         if (relaxed.status == LpStatus::Unbounded) {
@@ -121,20 +150,23 @@ MilpSolver::solve()
             continue;
         }
 
+        // Children keep the variable's own bound on the side they do
+        // not tighten; the max()/min() above keep the branch's.
+        std::shared_ptr<const Basis> start;
+        if (!basis->empty())
+            start = std::move(basis);
         double v = relaxed.x[branchVar];
-        Node down = node;
-        down.bound = relaxed.objective;
-        down.bounds.emplace_back(branchVar, -0.0, std::floor(v));
-        // Preserve the variable's own lower bound via the max() above;
-        // use a very low explicit lo so only the hi tightens.
-        std::get<1>(down.bounds.back()) = base.lowerBound(branchVar);
-        open.push(down);
-
-        Node up = node;
-        up.bound = relaxed.objective;
-        up.bounds.emplace_back(branchVar, std::ceil(v),
-                               base.upperBound(branchVar));
-        open.push(up);
+        changes.push_back(BoundChange{branchVar,
+                                      base.lowerBound(branchVar),
+                                      std::floor(v), node.change});
+        open.push(Node{relaxed.objective,
+                       static_cast<int>(changes.size()) - 1, start});
+        changes.push_back(BoundChange{branchVar, std::ceil(v),
+                                      base.upperBound(branchVar),
+                                      node.change});
+        open.push(Node{relaxed.objective,
+                       static_cast<int>(changes.size()) - 1,
+                       std::move(start)});
     }
 
     result.limitHit = hitLimit;

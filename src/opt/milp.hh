@@ -4,14 +4,19 @@
  * the solver behind AQUA-PLACER (the paper used Gurobi, §4).
  *
  * Best-bound search on the simplex relaxation, branching on the most
- * fractional integer variable. Node and time limits make it usable
- * inside the Fig. 14 convergence-time benchmark.
+ * fractional integer variable. The root relaxation is a cold
+ * solveLp(); every other node re-solves from its parent's optimal
+ * basis with the bounded dual simplex (opt::DualSimplex), since a
+ * branch only tightens one bound. The search stops at a node budget
+ * (MilpOptions::maxNodes) or a wall-clock budget
+ * (MilpOptions::maxSeconds) and reports what it has.
  */
 
 #ifndef AQUA_OPT_MILP_HH
 #define AQUA_OPT_MILP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "opt/lp.hh"
@@ -37,7 +42,19 @@ struct MilpResult
     double objective = 0.0;
     std::vector<double> x;
     std::uint64_t nodesExplored = 0;
+    /**
+     * Simplex pivots over all node LPs: the root's primal pivots,
+     * then the dual pivots of each warm re-solve (loading a parent's
+     * basis is not counted) and the primal pivots of any node that
+     * fell back to a cold solve.
+     */
     std::uint64_t lpIterations = 0;
+    /**
+     * Node LPs solved cold: the root, plus any node whose parent
+     * basis could not be loaded or whose warm re-solve ran out of
+     * pivots.
+     */
+    std::uint64_t coldSolves = 0;
     /** Whether node/iteration limits cut the search short. */
     bool limitHit = false;
 
@@ -79,11 +96,23 @@ class MilpSolver
     MilpResult solve();
 
   private:
+    /** One branch's bound override, linked to its parent's. */
+    struct BoundChange
+    {
+        int var;
+        double lo;
+        double hi;
+        /** The parent node's change, or -1 below the root. */
+        int parent;
+    };
+
     struct Node
     {
-        /** (var, lo, hi) bound overrides along this branch. */
-        std::vector<std::tuple<int, double, double>> bounds;
         double bound = -inf;
+        /** Index of this node's BoundChange; -1 at the root. */
+        int change = -1;
+        /** The parent's optimal basis, shared by both children. */
+        std::shared_ptr<const Basis> start;
     };
 
     LinearProgram base;
