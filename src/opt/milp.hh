@@ -102,7 +102,7 @@ class MilpSolver
         int var;
         double lo;
         double hi;
-        /** The parent node's change, or -1 below the root. */
+        /** The parent node's change, or -1 for a child of the root. */
         int parent;
     };
 
