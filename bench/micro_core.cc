@@ -87,6 +87,41 @@ BM_EventQueueCancelChurn(benchmark::State &state)
 BENCHMARK(BM_EventQueueCancelChurn);
 
 void
+BM_EventQueueFarFuture(benchmark::State &state)
+{
+    // The cluster_scale shape: about 100k events pending far ahead
+    // (every queued request's completion) with 64-byte captures, and
+    // each fired event scheduling one more at a random later tick.
+    // Per-event cost here is heap depth and capture moves, not
+    // allocation warm-up.
+    const std::size_t pending = static_cast<std::size_t>(state.range(0));
+    struct Payload
+    {
+        std::uint64_t w[7];
+    };
+    sim::EventQueue q;
+    sim::Random rng(11);
+    std::uint64_t sink = 0;
+    auto push = [&] {
+        Payload p{};
+        p.w[0] = rng.next64();
+        sim::Tick when =
+            q.now() + 1 + rng.next64() % sim::secToTicks(8.0);
+        q.schedule(when, [&sink, p] { sink += p.w[0]; });
+    };
+    for (std::size_t i = 0; i < pending; ++i)
+        push();
+    for (auto _ : state) {
+        q.step();
+        push();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueFarFuture)->Arg(100000);
+
+void
 BM_RegionAllocatorChurn(benchmark::State &state)
 {
     mem::RegionAllocator alloc(std::uint64_t(80) << 30);

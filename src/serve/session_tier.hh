@@ -34,8 +34,11 @@ class SessionTier
   public:
     /** Resume outcome: streamed = the KV landed in HBM via the
      *  prefetch pipeline; false = the stream was cancelled or the
-     *  device failed and the engine must re-prefill. */
-    using ResumeCallback = std::function<void(bool streamed)>;
+     *  device failed and the engine must re-prefill. Returns whether
+     *  the engine kept the landed KV: false means it was discarded on
+     *  arrival (it failed its integrity check), so the tier books the
+     *  streamed bytes as wasted. Ignored when streamed is false. */
+    using ResumeCallback = std::function<bool(bool streamed)>;
 
     virtual ~SessionTier() = default;
 

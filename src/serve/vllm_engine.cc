@@ -332,12 +332,13 @@ VllmEngine::maybeBeginResume(Sequence *s)
         [this, s, usable](bool streamed) {
             s->prefetchPending = false;
             if (s->state != Sequence::State::Waiting)
-                return; // shed while the stream was in flight
+                return false; // shed while the stream was in flight
             // A stream cancelled mid-flight (device degradation or
             // failure), or one whose parked copy rotted, leaves this
             // turn to re-prefill from the prompt.
-            if (streamed && verifyArrival(s, Arrival::FromSsd,
-                                          "ssd_resume", [] {})) {
+            bool kept = streamed && verifyArrival(s, Arrival::FromSsd,
+                                                  "ssd_resume", [] {});
+            if (kept) {
                 s->landedTokens = usable;
                 ++nStreamResumes;
             } else {
@@ -345,6 +346,7 @@ VllmEngine::maybeBeginResume(Sequence *s)
             }
             needResched = true;
             scheduleStep(server.simulation().now());
+            return kept;
         },
         streamOverhead);
     if (streaming) {

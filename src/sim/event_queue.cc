@@ -24,7 +24,9 @@ void
 EventQueue::reserve(std::size_t events)
 {
     heap.reserve(events);
+    freeSlots.reserve(events);
     cancelled.reserve(events);
+    pages.reserve((events + pageSlots - 1) / pageSlots);
 }
 
 EventId
@@ -41,7 +43,14 @@ EventQueue::schedule(Tick when, int band, Callback cb)
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(_now));
     }
-    EventId id = nextId++;
+    if (band < -128 || band > 127)
+        panic("event band %d outside [-128, 127]", band);
+    if (!cb)
+        panic("scheduling an empty callback");
+    std::uint64_t seq = nextSeq++;
+    if (seq > seqMask)
+        panic("event sequence space exhausted");
+    EventId id = seq + 1;
     if (cancelled.size() <= id) {
         // Grow geometrically: ids are dense, so a one-past resize per
         // schedule would reallocate the table on every call.
@@ -49,7 +58,11 @@ EventQueue::schedule(Tick when, int band, Callback cb)
                                                cancelled.size() * 2),
                          false);
     }
-    heap.push_back(Entry{when, band, nextSeq++, id, std::move(cb)});
+    std::uint32_t slot = acquireSlot();
+    slotRef(slot) = std::move(cb);
+    std::uint64_t order =
+        static_cast<std::uint64_t>(band + 128) << bandShift | seq;
+    heap.push_back(Key{when, order, slot});
     std::push_heap(heap.begin(), heap.end(), Later{});
     ++numPending;
     return id;
@@ -67,7 +80,7 @@ EventQueue::cancel(EventId id)
     if (id == invalidEventId || id >= cancelled.size() || cancelled[id])
         return false;
     // We cannot remove from the middle of a binary heap; mark the id and
-    // drop the entry lazily when it reaches the top.
+    // drop the entry (and its callback) lazily when it reaches the top.
     cancelled[id] = true;
     if (numPending == 0)
         return false;
@@ -75,20 +88,33 @@ EventQueue::cancel(EventId id)
     return true;
 }
 
-EventQueue::Entry
+std::uint32_t
+EventQueue::acquireSlot()
+{
+    if (!freeSlots.empty()) {
+        std::uint32_t slot = freeSlots.back();
+        freeSlots.pop_back();
+        return slot;
+    }
+    if (slotsUsed % pageSlots == 0)
+        pages.push_back(std::make_unique<EventCallback[]>(pageSlots));
+    return slotsUsed++;
+}
+
+EventQueue::Key
 EventQueue::popTop()
 {
     std::pop_heap(heap.begin(), heap.end(), Later{});
-    Entry entry = std::move(heap.back());
+    Key top = heap.back();
     heap.pop_back();
-    return entry;
+    return top;
 }
 
 void
 EventQueue::skipCancelled()
 {
-    while (!heap.empty() && cancelled[heap.front().id])
-        popTop();
+    while (!heap.empty() && cancelled[idOf(heap.front())])
+        releaseSlot(popTop().slot);
 }
 
 Tick
@@ -104,13 +130,22 @@ EventQueue::step()
     skipCancelled();
     if (heap.empty())
         return false;
-    Entry entry = popTop();
-    _now = entry.when;
+    Key top = popTop();
+    _now = top.when;
     --numPending;
     ++numFired;
     // Mark fired so a late cancel() of this id is a no-op.
-    cancelled[entry.id] = true;
-    entry.cb();
+    cancelled[idOf(top)] = true;
+    // Fire in place. The slot stays taken while the callback runs, so
+    // whatever it schedules lands elsewhere; it is freed afterwards,
+    // also if the callback throws.
+    struct Release
+    {
+        EventQueue &q;
+        std::uint32_t slot;
+        ~Release() { q.releaseSlot(slot); }
+    } release{*this, top.slot};
+    slotRef(top.slot)();
     return true;
 }
 

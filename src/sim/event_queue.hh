@@ -13,15 +13,23 @@
  * sharded simulation's cross-domain deliveries, which must fire ahead
  * of same-tick local events in an order that does not depend on when
  * the delivery was enqueued (see sharded_sim.hh).
+ *
+ * Layout: the heap holds 24-byte keys (when, band and sequence, slab
+ * slot); the callbacks live in a paged slab with a free list, so heap
+ * sifts never touch them and a callback fires in place, from its slot.
+ * A callback is an EventCallback, a move-only callable that stores
+ * captures of up to 72 bytes inline. Cost per event therefore does not
+ * grow with capture size, only (logarithmically) with pending events.
  */
 
 #ifndef AQUA_SIM_EVENT_QUEUE_HH
 #define AQUA_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
+#include "sim/event_callback.hh"
 #include "sim/ticks.hh"
 
 namespace aqua::sim {
@@ -42,13 +50,13 @@ constexpr EventId invalidEventId = 0;
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = EventCallback;
 
     EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Pre-size the heap (and cancellation table) for @p events. */
+    /** Pre-size the heap, slab and cancellation table for @p events. */
     void reserve(std::size_t events);
 
     /** Current simulated time. */
@@ -68,7 +76,7 @@ class EventQueue
      *
      * At equal ticks, all band-b events fire before any band-(b+1)
      * events regardless of schedule order; FIFO applies within a
-     * band. Plain schedule() uses band 0.
+     * band. Plain schedule() uses band 0. Bands span [-128, 127].
      */
     EventId schedule(Tick when, int band, Callback cb);
 
@@ -119,49 +127,78 @@ class EventQueue
     std::uint64_t fired() const { return numFired; }
 
   private:
-    struct Entry
+    /**
+     * One heap entry: 24 bytes, so sifts move no callback.
+     * order = (band + 128) << bandShift | seq compares as (band, seq),
+     * and the EventId is seq + 1.
+     */
+    struct Key
     {
         Tick when;
-        int band;
-        std::uint64_t seq;
-        EventId id;
-        Callback cb;
+        std::uint64_t order;
+        std::uint32_t slot;
     };
 
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.band != b.band)
-                return a.band > b.band;
-            return a.seq > b.seq;
+            return a.order > b.order;
         }
     };
 
-    /** Pop cancelled entries off the heap top. */
+    static constexpr unsigned bandShift = 56;
+    static constexpr std::uint64_t seqMask =
+        (std::uint64_t(1) << bandShift) - 1;
+    /** Slots per slab page (20 KB pages of 80-byte callbacks). */
+    static constexpr std::size_t pageSlots = 256;
+
+    static EventId idOf(const Key &k) { return (k.order & seqMask) + 1; }
+
+    EventCallback &
+    slotRef(std::uint32_t slot)
+    {
+        return pages[slot / pageSlots][slot % pageSlots];
+    }
+
+    /** A free slab slot, growing the slab by a page when none is. */
+    std::uint32_t acquireSlot();
+
+    /** Destroy a slot's callback and return the slot to the free list. */
+    void
+    releaseSlot(std::uint32_t slot)
+    {
+        slotRef(slot).reset();
+        freeSlots.push_back(slot);
+    }
+
+    /** Drop cancelled entries off the heap top. */
     void skipCancelled();
 
-    /** Move the earliest entry out of the heap (must be non-empty). */
-    Entry popTop();
+    /** Remove and return the earliest key (heap must be non-empty). */
+    Key popTop();
 
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
-    EventId nextId = 1;
     std::size_t numPending = 0;
     std::uint64_t numFired = 0;
     /**
-     * Binary min-heap on (when, seq) kept by std::push_heap /
-     * std::pop_heap over a plain vector. Compared to
-     * std::priority_queue this lets pops MOVE the callback out
-     * (top() only exposes a const reference, forcing a copy of the
-     * std::function and its captures on every fire) and lets the
-     * backing storage be reserved up front.
+     * Binary min-heap of keys, kept by std::push_heap / std::pop_heap
+     * over a plain vector so it can be reserved up front.
      */
-    std::vector<Entry> heap;
-    /** Ids cancelled while still on the heap. */
+    std::vector<Key> heap;
+    /**
+     * Callback slab. Pages never move, so growth copies no live
+     * callback and a firing callback may schedule (and so grow the
+     * slab) while it runs in place. Free slots hold empty callbacks.
+     */
+    std::vector<std::unique_ptr<EventCallback[]>> pages;
+    std::uint32_t slotsUsed = 0;
+    std::vector<std::uint32_t> freeSlots;
+    /** Ids cancelled while still on the heap, or already fired. */
     std::vector<bool> cancelled;
 };
 

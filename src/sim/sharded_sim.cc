@@ -12,8 +12,25 @@ namespace aqua::sim {
 //
 
 DomainMailboxes::DomainMailboxes(std::size_t numDomains)
-    : inbox(numDomains)
+    : pools(numDomains)
 {
+}
+
+std::int64_t
+DomainMailboxes::findOpen(const Pool &pool, Tick when)
+{
+    // Every open batch is for a tick <= newest.
+    if (pool.batches.empty() || when > pool.newest)
+        return -1;
+    const Batch &last = pool.batches[pool.newestIdx];
+    if (last.open && last.when == when)
+        return pool.newestIdx;
+    for (std::size_t i = 0; i < pool.batches.size(); ++i) {
+        const Batch &b = pool.batches[i];
+        if (b.open && b.when == when)
+            return static_cast<std::int64_t>(i);
+    }
+    return -1;
 }
 
 void
@@ -21,39 +38,58 @@ DomainMailboxes::post(EventQueue &dstQueue, std::size_t dst,
                       std::size_t src, std::uint64_t srcSeq, Tick when,
                       EventQueue::Callback fn)
 {
-    auto &byTick = inbox[dst];
-    auto it = byTick.find(when);
-    if (it == byTick.end()) {
-        it = byTick.emplace(when, std::vector<Pending>{}).first;
-        dstQueue.schedule(when, deliveryBand,
-                          [this, dst, when] { drain(dst, when); });
+    Pool &pool = pools[dst];
+    std::int64_t found = findOpen(pool, when);
+    std::uint32_t idx;
+    if (found >= 0) {
+        idx = static_cast<std::uint32_t>(found);
+    } else {
+        if (pool.free.empty()) {
+            idx = static_cast<std::uint32_t>(pool.batches.size());
+            pool.batches.emplace_back();
+        } else {
+            idx = pool.free.back();
+            pool.free.pop_back();
+        }
+        Batch &b = pool.batches[idx];
+        b.when = when;
+        b.open = true;
+        if (when >= pool.newest) {
+            pool.newest = when;
+            pool.newestIdx = idx;
+        }
+        std::uint64_t key = static_cast<std::uint64_t>(dst) << 32 | idx;
+        dstQueue.schedule(when, deliveryBand, [this, key] { drain(key); });
     }
-    it->second.push_back(Pending{src, srcSeq, std::move(fn)});
+    pool.batches[idx].msgs.push_back(Pending{src, srcSeq, std::move(fn)});
 }
 
 void
-DomainMailboxes::drain(std::size_t dst, Tick when)
+DomainMailboxes::drain(std::uint64_t key)
 {
-    auto &byTick = inbox[dst];
-    auto it = byTick.find(when);
-    if (it == byTick.end())
+    Pool &pool = pools[key >> 32];
+    auto idx = static_cast<std::uint32_t>(key);
+    Batch &batch = pool.batches[idx];
+    if (!batch.open || batch.msgs.empty())
         panic("mailbox drain with no pending messages");
-    // Move the batch out before running: a delivered callback may
-    // post again (to a strictly later tick) without invalidating the
-    // iteration.
-    std::vector<Pending> batch = std::move(it->second);
-    byTick.erase(it);
+    // Close the batch before running: a delivered callback may post
+    // again (to a strictly later tick), which must open a new batch.
+    // This one returns to the pool only after its last message ran.
+    batch.open = false;
     // Canonical same-tick order. Arrival order depends on executor
     // interleaving; (src, srcSeq) is derivable from per-domain state
-    // alone, hence identical across executors.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const Pending &a, const Pending &b) {
-                         if (a.src != b.src)
-                             return a.src < b.src;
-                         return a.srcSeq < b.srcSeq;
-                     });
-    for (Pending &p : batch)
+    // alone, hence identical across executors. The keys are unique,
+    // so an unstable sort yields that one order.
+    std::sort(batch.msgs.begin(), batch.msgs.end(),
+              [](const Pending &a, const Pending &b) {
+                  if (a.src != b.src)
+                      return a.src < b.src;
+                  return a.srcSeq < b.srcSeq;
+              });
+    for (Pending &p : batch.msgs)
         p.fn();
+    batch.msgs.clear();
+    pool.free.push_back(idx);
 }
 
 //
@@ -187,7 +223,7 @@ ShardedSimulation::mergeOutboxes()
 {
     // Iterating sources in index order and each outbox in send order
     // happens to append each batch already sorted by (src, srcSeq);
-    // the drain's stable sort keeps that canonical order either way.
+    // the drain's sort yields that canonical order either way.
     for (std::size_t src = 0; src < shards.size(); ++src) {
         Shard &s = *shards[src];
         for (OutMsg &m : s.outbox) {

@@ -38,7 +38,7 @@
 
 #include <barrier>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -106,9 +106,15 @@ class DomainNet
  * Canonically-ordered cross-domain mailboxes, shared by both
  * executors so delivery semantics cannot drift apart.
  *
- * Messages accumulate per (destination, delivery tick); the first
- * message for a tick schedules one deliveryBand drain event, which
- * sorts the batch by (source domain, source sequence) and runs it.
+ * Messages accumulate per (destination, delivery tick) in a batch; the
+ * first message for a tick schedules one deliveryBand drain event,
+ * which sorts the batch by (source domain, source sequence) and runs
+ * it. Batches come from a per-destination pool and go back to it
+ * (storage and all) once drained, so steady-state traffic allocates
+ * nothing. Each destination's pool is touched only by that
+ * destination's drains and by post(), which the sharded executor
+ * calls between windows only; so different destinations may drain on
+ * different threads.
  */
 class DomainMailboxes
 {
@@ -131,9 +137,38 @@ class DomainMailboxes
         EventQueue::Callback fn;
     };
 
-    void drain(std::size_t dst, Tick when);
+    struct Batch
+    {
+        Tick when = 0;
+        /** Whether the batch still takes posts; its drain closes it. */
+        bool open = false;
+        std::vector<Pending> msgs;
+    };
 
-    std::vector<std::map<Tick, std::vector<Pending>>> inbox;
+    /** One destination's batches. */
+    struct Pool
+    {
+        /** Every batch ever opened; a deque so a batch being drained
+         *  stays put while its callbacks open new ones. */
+        std::deque<Batch> batches;
+        /** Indices of drained batches, ready for reuse. */
+        std::vector<std::uint32_t> free;
+        /** Latest tick any batch was opened for, and that batch. */
+        Tick newest = 0;
+        std::uint32_t newestIdx = 0;
+    };
+
+    /**
+     * The open batch of @p pool for @p when, or -1. O(1) when ticks
+     * are posted in order, as a shared queue posts them; otherwise a
+     * scan of the destination's pool.
+     */
+    static std::int64_t findOpen(const Pool &pool, Tick when);
+
+    /** @p key is dst << 32 | batch index. */
+    void drain(std::uint64_t key);
+
+    std::vector<Pool> pools;
 };
 
 /**

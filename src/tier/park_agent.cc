@@ -86,8 +86,10 @@ ParkAgent::beginResume(std::uint64_t sessionKey, Tick now,
                 mgr.remove(parkKey(sessionKey));
                 sessions.erase(sit);
             }
-            if (done)
-                done(streamed);
+            // A landed copy the engine discarded (it failed its
+            // check on arrival) bought nothing.
+            if (done && !done(streamed) && streamed)
+                pipe.discardDelivered(d.bytes);
         });
     return true;
 }

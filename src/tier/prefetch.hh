@@ -49,9 +49,13 @@ struct PrefetchStats
     std::uint64_t windowsIssued = 0;
     /** Windows skipped because their stream was cancelled. */
     std::uint64_t windowsCancelled = 0;
+    /** Completed streams whose payload the consumer then discarded
+     *  (it failed its integrity check on arrival). */
+    std::uint64_t streamsDiscarded = 0;
     /** Payload delivered to HBM by completed streams. */
     std::uint64_t bytesStreamed = 0;
-    /** Bytes issued on behalf of streams that were then cancelled. */
+    /** Bytes issued on behalf of streams that were then cancelled,
+     *  plus the payload of discarded streams. */
     std::uint64_t bytesWasted = 0;
     /** Per-completed-stream overlap efficiency (0 = serial, 1 = fully
      *  pipelined: the shorter stage entirely hidden by the longer). */
@@ -112,6 +116,17 @@ class PrefetchPipeline
      * @retval false Unknown or already-finished stream.
      */
     bool cancel(StreamId id);
+
+    /**
+     * A completed stream's @p bytes were discarded on arrival (the
+     * parked copy failed its integrity check): book them as wasted.
+     */
+    void
+    discardDelivered(std::uint64_t bytes)
+    {
+        ++counters.streamsDiscarded;
+        counters.bytesWasted += bytes;
+    }
 
     /** Whether a stream is still in flight. */
     bool active(StreamId id) const;

@@ -486,7 +486,9 @@ TEST(GoldenOutputs, TieringSsdBitrot)
     EXPECT_EQ(r.recomputeResumes, 7u);
     EXPECT_EQ(r.tierDemotions, 13u);
     EXPECT_EQ(r.prefetch.bytesStreamed, 2783182848u);
-    EXPECT_EQ(r.prefetch.bytesWasted, 0u);
+    // The 7 resumes whose parked copy rotted streamed for nothing.
+    EXPECT_EQ(r.prefetch.streamsDiscarded, 7u);
+    EXPECT_EQ(r.prefetch.bytesWasted, 1526267904u);
     EXPECT_EQ(r.ssdBytesRead, 7108165632u);
     EXPECT_EQ(r.ssdBytesWritten, 9917497344u);
     EXPECT_EQ(r.unfinished, 0u);

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exp/cluster_sim.hh"
@@ -124,6 +126,118 @@ TEST(ShardedSimulation, SameTickDeliveriesOrderedBySourceDomain)
         }
         EXPECT_EQ(order, (std::vector<int>{1, 2}))
             << (sharded ? "sharded" : "sequential");
+    }
+}
+
+TEST(DomainMailboxes, ScrambledSameTickPostsFireInSourceOrder)
+{
+    // Four sources post to (domain 0, tick 100) at scrambled times,
+    // some twice; a send to another domain in between still advances
+    // a source's sequence. Delivery must follow (src, srcSeq) on both
+    // executors. One delivered callback posts again to tick 110, where
+    // it must precede a message domain 1 sent earlier for that tick.
+    for (int sharded = 0; sharded < 2; ++sharded) {
+        // Per-domain logs: the sharded executor runs domains on
+        // different threads.
+        std::vector<std::vector<std::string>> log(5);
+        auto body = [&](DomainNet &net) {
+            auto sendAt = [&](std::size_t src, Tick at, std::size_t dst,
+                              Tick deliver, std::string label) {
+                net.queueOf(src).schedule(at, [&net, &log, src, dst,
+                                               deliver, label] {
+                    net.send(src, dst, deliver, [&log, dst, label] {
+                        log[dst].push_back(label);
+                    });
+                });
+            };
+            sendAt(3, 20, 0, 100, "3a");
+            sendAt(4, 5, 0, 100, "4a");
+            sendAt(2, 80, 0, 100, "2b");
+            sendAt(1, 85, 0, 100, "1b");
+            sendAt(1, 50, 0, 100, "1a");
+            sendAt(2, 50, 0, 100, "2a");
+            sendAt(3, 20, 4, 60, "4:3");
+            sendAt(3, 20, 0, 100, "3b");
+            sendAt(1, 95, 0, 110, "1c");
+            // 2's third message re-posts from its delivery at 100.
+            net.queueOf(2).schedule(85, [&net, &log] {
+                net.send(2, 0, 100, [&net, &log] {
+                    log[0].push_back("2c");
+                    net.send(0, 0, 110,
+                             [&log] { log[0].push_back("0r"); });
+                    net.send(0, 3, 110,
+                             [&log] { log[3].push_back("3r"); });
+                });
+            });
+        };
+        std::uint64_t cross = 0;
+        if (sharded) {
+            ShardedSimulation sim(shardCfg(5, 10));
+            body(sim);
+            sim.run();
+            cross = sim.crossMessages();
+        } else {
+            EventQueue q;
+            SequentialDomainNet net(q, 5, 1, 10);
+            body(net);
+            q.run();
+            cross = net.crossMessages();
+        }
+        const char *which = sharded ? "sharded" : "sequential";
+        EXPECT_EQ(log[0],
+                  (std::vector<std::string>{"1a", "1b", "2a", "2b", "2c",
+                                            "3a", "3b", "4a", "0r",
+                                            "1c"}))
+            << which;
+        EXPECT_EQ(log[3], (std::vector<std::string>{"3r"})) << which;
+        EXPECT_EQ(log[4], (std::vector<std::string>{"4:3"})) << which;
+        EXPECT_EQ(cross, 12u) << which;
+    }
+}
+
+TEST(DomainMailboxes, PooledBatchesServeManyTicks)
+{
+    // Sources 1 (even i) and 2 (odd i) post 300 messages to domain 0.
+    // Delivery ticks run out of order, and message i + 3 from source 2
+    // joins the open batch message i from source 1 opened three ticks
+    // earlier. Drained batches return to the pool and are reused.
+    auto deliverOf = [](int i) {
+        return static_cast<Tick>(30 + i + (i % 2 == 0 ? 3 : 0));
+    };
+    std::vector<std::tuple<Tick, std::size_t, int>> keys;
+    for (int i = 0; i < 300; ++i)
+        keys.emplace_back(deliverOf(i), 1 + static_cast<std::size_t>(i % 2),
+                          i);
+    std::sort(keys.begin(), keys.end());
+    std::vector<int> want;
+    for (const auto &k : keys)
+        want.push_back(std::get<2>(k));
+
+    for (int sharded = 0; sharded < 2; ++sharded) {
+        std::vector<int> got;
+        auto body = [&](DomainNet &net) {
+            for (int i = 0; i < 300; ++i) {
+                std::size_t src = 1 + static_cast<std::size_t>(i % 2);
+                Tick deliver = deliverOf(i);
+                net.queueOf(src).schedule(
+                    static_cast<Tick>(10 + i),
+                    [&net, &got, src, deliver, i] {
+                        net.send(src, 0, deliver,
+                                 [&got, i] { got.push_back(i); });
+                    });
+            }
+        };
+        if (sharded) {
+            ShardedSimulation sim(shardCfg(3, 20));
+            body(sim);
+            sim.run();
+        } else {
+            EventQueue q;
+            SequentialDomainNet net(q, 3, 1, 20);
+            body(net);
+            q.run();
+        }
+        EXPECT_EQ(got, want) << (sharded ? "sharded" : "sequential");
     }
 }
 

@@ -404,6 +404,7 @@ TEST(ParkAgent, ResumeStreamsAndReleasesTheParkedCopy)
                                   [&](bool s) {
                                       fired = true;
                                       streamed = s;
+                                      return true;
                                   }));
     tb.sim().runUntil(secToTicks(10.0));
     EXPECT_TRUE(fired);
@@ -411,6 +412,25 @@ TEST(ParkAgent, ResumeStreamsAndReleasesTheParkedCopy)
     EXPECT_EQ(agent.parkedCount(), 0u);
     EXPECT_EQ(tb.server().ssd().freeBytes(), freeBefore);
     EXPECT_GT(tb.server().ssd().bytesRead(), 0u);
+}
+
+TEST(ParkAgent, DiscardedResumeBooksItsBytesAsWasted)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    ParkAgent agent(tb.server(), 0);
+    ASSERT_TRUE(agent.park(7, 64 * mib, 500, 60.0, 0));
+    ASSERT_TRUE(agent.park(8, 32 * mib, 250, 60.0, 0));
+    // Session 7's landed copy is kept, session 8's is discarded.
+    ASSERT_TRUE(agent.beginResume(7, 0, secToTicks(5.0),
+                                  [](bool s) { return s; }));
+    ASSERT_TRUE(agent.beginResume(8, 0, secToTicks(5.0),
+                                  [](bool) { return false; }));
+    tb.sim().runUntil(secToTicks(10.0));
+    const PrefetchStats &s = agent.pipeline().stats();
+    EXPECT_EQ(s.streamsCompleted, 2u);
+    EXPECT_EQ(s.streamsDiscarded, 1u);
+    EXPECT_EQ(s.bytesStreamed, 96 * mib);
+    EXPECT_EQ(s.bytesWasted, 32 * mib);
 }
 
 TEST(ParkAgent, DegradedDriveFlipsResumeToRecompute)
@@ -437,6 +457,7 @@ TEST(ParkAgent, CancelMidStreamDropsTheSession)
                                   [&](bool s) {
                                       fired = true;
                                       streamed = s;
+                                      return true;
                                   }));
     // The resumed sequence sheds before the stream lands.
     tb.sim().queue().schedule(msToTicks(2.0),

@@ -236,4 +236,10 @@ TEST(TierEngine, RottedParkedSessionResumesViaRecompute)
     EXPECT_EQ(path->asString(), "ssd_resume");
     EXPECT_EQ(ev[0].fields.find("request")->asInt(), 2);
     EXPECT_EQ(agent.parkedCount(), 0u);
+    // The stream completed, but its payload was discarded: waste.
+    const tier::PrefetchStats &ps = agent.pipeline().stats();
+    EXPECT_EQ(ps.streamsCompleted, 1u);
+    EXPECT_EQ(ps.streamsDiscarded, 1u);
+    EXPECT_GT(ps.bytesStreamed, 0u);
+    EXPECT_EQ(ps.bytesWasted, ps.bytesStreamed);
 }
